@@ -32,7 +32,8 @@ Supported subset (see README "Python frontend" for the full table):
   loop variables keep their last body value after the loop.
 
 Documented subset limits (not silent divergences -- each is either rejected
-or stated in README): integers wrap at 32 bits, negative indexing of
+or stated in README): integers wrap at 32 bits (integer literals outside the
+32-bit range are rejected), negative indexing of
 unknown-length buffers (parameters, ``os.getenv`` results) traps as an
 out-of-bounds access, a missing environment variable reads as a zero-filled
 buffer rather than ``None``, and reading a local before assignment yields 0
@@ -49,6 +50,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .. import ir
+from ..ir.values import INT_MAX, INT_MIN
 from .errors import PythonCompileError, UnsupportedPythonError
 
 _ALLOWED_IMPORTS = {"threading", "os", "sys"}
@@ -246,16 +248,15 @@ class _PyCompiler:
         )
 
     def _constant_int(self, node: pyast.expr) -> Optional[int]:
-        if isinstance(node, pyast.Constant):
-            if isinstance(node.value, bool):
-                return int(node.value)
-            if isinstance(node.value, int):
-                return node.value
-            return None
-        if isinstance(node, pyast.UnaryOp) and isinstance(node.op, pyast.USub):
-            inner = self._constant_int(node.operand)
-            return -inner if inner is not None else None
-        return None
+        """The value of an int/bool literal, possibly negated; literals the
+        IR's 32-bit integers cannot hold are rejected, not wrapped."""
+        value = _literal_int(node)
+        if value is not None and not INT_MIN <= value <= INT_MAX:
+            raise PythonCompileError(
+                f"integer literal {value} does not fit in 32 bits",
+                node.lineno, node.col_offset,
+            )
+        return value
 
     def _constant_list(self, node: pyast.expr) -> Optional[list[int]]:
         """``[c1, c2, ...]`` or ``[c] * N`` with compile-time constants."""
@@ -877,10 +878,9 @@ class _PyCompiler:
 
     def _compile_expr(self, expr: pyast.expr) -> ir.Value:
         if isinstance(expr, pyast.Constant):
-            if isinstance(expr.value, bool):
-                return ir.Const(int(expr.value))
-            if isinstance(expr.value, int):
-                return ir.Const(expr.value)
+            value = self._constant_int(expr)
+            if value is not None:
+                return ir.Const(value)
             raise UnsupportedPythonError.for_node(
                 expr, f"{type(expr.value).__name__} literals are not supported"
             )
@@ -925,6 +925,9 @@ class _PyCompiler:
             self._emit(ir.UnOp(dst, "!", operand, line=expr.lineno))
             return dst
         if isinstance(expr.op, pyast.USub):
+            literal = self._constant_int(expr)
+            if literal is not None:
+                return ir.Const(literal)
             operand = self._compile_expr(expr.operand)
             if isinstance(operand, ir.Const):
                 return ir.Const(-operand.value)
@@ -1269,3 +1272,15 @@ class _PyCompiler:
         raise UnsupportedPythonError.for_node(
             call, f"method call {owner}.{method} is not supported"
         )
+
+
+def _literal_int(node: pyast.expr) -> Optional[int]:
+    """An int/bool literal's value, through any unary minuses."""
+    if isinstance(node, pyast.Constant):
+        if isinstance(node.value, bool):
+            return int(node.value)
+        return node.value if isinstance(node.value, int) else None
+    if isinstance(node, pyast.UnaryOp) and isinstance(node.op, pyast.USub):
+        inner = _literal_int(node.operand)
+        return -inner if inner is not None else None
+    return None

@@ -60,6 +60,12 @@ class Searcher:
     # an ``add`` uniformly; strategies without pruning leave it at 0.
     pruned: int = 0
 
+    # Strategies that track which blocks states pass through (ESD's
+    # intermediate goals) set this to ``hook(state, function, block)``; the
+    # engine hands it to the executor, which calls it whenever a live
+    # state's running thread enters a new block.
+    on_block_entry: Optional[Callable[[ExecutionState, str, str], None]] = None
+
     def add(self, state: ExecutionState) -> None:
         raise NotImplementedError
 
@@ -78,10 +84,6 @@ class Searcher:
 
     def __len__(self) -> int:
         raise NotImplementedError
-
-    def notify(self, event: str, state: ExecutionState) -> None:
-        """Optional hook for strategies that track events (e.g. ESD boosting
-        snapshot states when a contended mutex turns out to be an inner lock)."""
 
     # -- frontier export (sharded exploration) --------------------------------
 
@@ -240,12 +242,16 @@ def explore_frontier(
             line = succ.bug.line
         flight.end(succ.sid, succ.parent_sid, reason, why=why, line=line)
 
-    def record_add(succ: ExecutionState, fresh: bool) -> None:
-        """Enqueue ``succ``, logging the lineage edge or the abandonment."""
-        if flight is None:
+    add = searcher.add
+
+    def enqueue(succ: ExecutionState, fresh: bool) -> None:
+        """Add ``succ`` to the searcher; when recording, log the lineage
+        edge of a ``fresh`` state or the searcher's abandonment of it."""
+        if not recording or flight is None:
+            add(succ)
             return
         pruned_before = searcher.pruned
-        searcher.add(succ)
+        add(succ)
         if searcher.pruned > pruned_before:
             flight.drop(succ.sid, succ.parent_sid, "distance-inf")
         elif fresh:
@@ -279,19 +285,24 @@ def explore_frontier(
         emit("done", reason=reason)
         return SearchOutcome(goal_state, reason, stats, other_bugs)
 
-    def executed() -> int:
-        # Distinct instruction executions so far (replay retries excluded).
-        return executor.stats.instructions - executor.stats.replayed
-
     emit("start")
     for state in frontier:
         if is_goal(state):
             return finish(state, "goal")
-        if recording:
-            record_add(state, fresh=True)
-        else:
-            searcher.add(state)
+        enqueue(state, fresh=True)
 
+    # Hoisted for the pick loop.  Budget accounting charges distinct
+    # instruction executions: ``instructions - replayed`` (replay retries
+    # excluded).
+    executor.on_block_entry = searcher.on_block_entry
+    step = executor.step
+    pick = searcher.pick
+    exec_stats = executor.stats
+    monotonic = time.monotonic
+    batch_size = max(budget.batch_instructions, 1)
+    max_instructions = budget.max_instructions
+    max_states = budget.max_states
+    progress_every = max(event_interval, 1) if on_event is not None else 0
     # Predefined so the per-pick assignments stay inside the recording
     # branch (mypy-clean without paying for them when off).
     solver_base = 0
@@ -301,14 +312,12 @@ def explore_frontier(
     while len(searcher):
         if should_stop is not None and should_stop():
             return finish(None, "cancelled")
-        if stats.instructions >= budget.max_instructions:
+        if stats.instructions >= max_instructions or states_seen >= max_states:
             return finish(None, "budget")
-        if states_seen >= budget.max_states:
-            return finish(None, "budget")
-        if stats.picks % 256 == 0 and time.monotonic() > deadline:
+        if stats.picks % 256 == 0 and monotonic() > deadline:
             return finish(None, "budget")
 
-        state = searcher.pick()
+        state = pick()
         stats.picks += 1
         if traced and tracer is not None:
             if quantum_span is None:
@@ -319,11 +328,11 @@ def explore_frontier(
                 tracer.finish(quantum_span, {"picks": quantum_picks,
                                              "pending": len(searcher)})
                 quantum_span = None
-        if on_event is not None and stats.picks % max(event_interval, 1) == 0:
+        if progress_every and stats.picks % progress_every == 0:
             emit("progress")
         # Run the picked state for a batch: stop at a fork, termination, or
         # the batch limit, whichever comes first.
-        batch_base = executed()
+        batch_base = exec_stats.instructions - exec_stats.replayed
         if recording:
             solver_base = solver_stats.queries
             static_base = solver_stats.static_answers
@@ -331,54 +340,41 @@ def explore_frontier(
             picked_fn = (picked_thread.frames[-1].function
                          if picked_thread is not None and picked_thread.frames
                          else "")
-        pending = [state]
-        for _ in range(max(budget.batch_instructions, 1)):
-            successors = executor.step(pending[-1])
-            if len(successors) == 1 and not successors[0].terminated:
-                searcher.notify("step", successors[0])
-            else:
-                pending.pop()
-                pending.extend(successors)
-                for succ in successors:
-                    if not succ.terminated:
-                        searcher.notify("step", succ)
+        successors = [state]
+        for _ in range(batch_size):
+            successors = step(state)
+            if len(successors) != 1 or successors[0].status != "running":
                 break
-        stats.instructions += executed() - batch_base
+        ran = exec_stats.instructions - exec_stats.replayed - batch_base
+        stats.instructions += ran
         if recording and flight is not None:
             queue, score, strategy = searcher.pick_info()
             flight.pick(
                 state.sid, queue=queue, score=score, strategy=strategy,
-                function=picked_fn, instructions=executed() - batch_base,
+                function=picked_fn, instructions=ran,
                 solver_queries=solver_stats.queries - solver_base,
                 static_answers=solver_stats.static_answers - static_base,
             )
 
-        for succ in pending:
+        for succ in successors:
             if is_goal(succ):
                 return finish(succ, "goal")
-            if succ.status == "bug":
+            status = succ.status
+            if status == "running":
+                if succ is not state:
+                    states_seen += 1
+                enqueue(succ, fresh=succ is not state)
+                continue
+            if status == "bug":
                 stats.bugs_seen += 1
                 other_bugs.append(succ)
-                if recording:
-                    record_end(succ, "bug")
-                if on_event is not None:
-                    emit("bug", detail=succ.bug.summary() if succ.bug else "")
-                continue
-            if succ.status == "exited":
+            elif status == "exited":
                 stats.paths_completed += 1
-                if recording:
-                    record_end(succ, "exited")
-                continue
-            if succ.status == "infeasible":
-                stats.paths_infeasible += 1
-                if recording:
-                    record_end(succ, "infeasible")
-                continue
-            if succ is not state:
-                states_seen += 1
-            if recording:
-                record_add(succ, fresh=succ is not state)
             else:
-                searcher.add(succ)
+                stats.paths_infeasible += 1
+            if recording:
+                record_end(succ, status)
+            if status == "bug" and on_event is not None:
+                emit("bug", detail=succ.bug.summary() if succ.bug else "")
 
     return finish(None, "exhausted")

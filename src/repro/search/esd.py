@@ -102,19 +102,21 @@ class ProximityGuidedSearcher(Searcher):
                 self._goal_blocks.setdefault(
                     (ref.function, ref.block), []
                 ).append(index)
+        self.on_block_entry = self._enter_block if self._goal_blocks else None
 
     # -- distance ------------------------------------------------------------
 
     def state_distance(self, state: ExecutionState, goal: GoalSpec) -> float:
         """Min Algorithm-1 distance over the state's live threads and the
         goal's alternative locations."""
+        return self._distance(_call_stacks(state), goal)
+
+    def _distance(self, stacks: list[list[InstrRef]], goal: GoalSpec) -> float:
         best = INF
-        for thread in state.live_threads():
-            if not thread.frames:
-                continue
-            frames = thread.call_stack()
+        distance = self.distances.state_distance
+        for frames in stacks:
             for ref in goal.refs:
-                d = self.distances.state_distance(frames, ref)
+                d = distance(frames, ref)
                 if d < best:
                     best = d
                     if best == 0:
@@ -131,15 +133,9 @@ class ProximityGuidedSearcher(Searcher):
 
     # -- Searcher interface ------------------------------------------------------
 
-    def notify(self, event: str, state: ExecutionState) -> None:
-        """Per-instruction observation: mark intermediate goals achieved."""
-        if event != "step" or not self._goal_blocks:
-            return
-        thread = state.threads.get(state.current_tid)
-        if thread is None or not thread.frames:
-            return
-        ref = thread.pc
-        hits = self._goal_blocks.get((ref.function, ref.block))
+    def _enter_block(self, state: ExecutionState, function: str, block: str) -> None:
+        """Block-entry observation: mark intermediate goals achieved."""
+        hits = self._goal_blocks.get((function, block))
         if not hits:
             return
         achieved: frozenset = state.meta.get("goals_done", frozenset())  # type: ignore[assignment]
@@ -151,7 +147,8 @@ class ProximityGuidedSearcher(Searcher):
         self._insert(state, may_prune=True)
 
     def _insert(self, state: ExecutionState, may_prune: bool) -> None:
-        final_distance = self.state_distance(state, self.final_goal)
+        stacks = _call_stacks(state)
+        final_distance = self._distance(stacks, self.final_goal)
         if may_prune and self.prune_unreachable and final_distance == INF:
             self.pruned += 1
             return
@@ -168,7 +165,7 @@ class ProximityGuidedSearcher(Searcher):
                 continue
             distance = (
                 final_distance if goal is self.final_goal
-                else self.state_distance(state, goal)
+                else self._distance(stacks, goal)
             )
             if distance == INF:
                 continue
@@ -268,3 +265,9 @@ class ProximityGuidedSearcher(Searcher):
 
     def __len__(self) -> int:
         return self._live
+
+
+def _call_stacks(state: ExecutionState) -> list[list[InstrRef]]:
+    """Innermost-first call stacks of the state's live threads."""
+    return [thread.call_stack() for thread in state.live_threads()
+            if thread.frames]

@@ -57,7 +57,7 @@ class SymbolicEnv(InputProvider):
         index = len(state.env.stdin_vars)
         var = make_var(f"stdin{index}", 0, 255)
         state.env.stdin_vars.append(var)
-        state.input_events.append(InputEvent("stdin", str(index), [var]))
+        state.log_input(InputEvent("stdin", str(index), [var]))
         return var
 
     def _symbolic_string(
@@ -83,14 +83,14 @@ class SymbolicEnv(InputProvider):
             state, f"env.{name}", self.string_size, nul_terminated=True
         )
         state.env.env_buffers[name] = pointer
-        state.input_events.append(InputEvent("env", name, variables))
+        state.log_input(InputEvent("env", name, variables))
         return pointer
 
     def argc(self, state: ExecutionState) -> Atom:
         if state.env.argc_var is None:
             var = make_var("argc", 1, self.max_args)
             state.env.argc_var = var
-            state.input_events.append(InputEvent("argc", "argc", [var]))
+            state.log_input(InputEvent("argc", "argc", [var]))
         return state.env.argc_var
 
     def arg(self, state: ExecutionState, index: int) -> Pointer:
@@ -101,7 +101,7 @@ class SymbolicEnv(InputProvider):
             state, f"arg{index}", self.string_size, nul_terminated=True
         )
         state.env.arg_buffers[index] = pointer
-        state.input_events.append(InputEvent("arg", str(index), variables))
+        state.log_input(InputEvent("arg", str(index), variables))
         return pointer
 
     def read_input(self, state: ExecutionState, name: str, size: int) -> Pointer:
@@ -112,7 +112,7 @@ class SymbolicEnv(InputProvider):
             state, f"buf.{name}", size, nul_terminated=False
         )
         state.env.buffers[name] = pointer
-        state.input_events.append(InputEvent("buffer", name, variables))
+        state.log_input(InputEvent("buffer", name, variables))
         return pointer
 
 

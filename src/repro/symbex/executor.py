@@ -15,7 +15,7 @@ scheduling policy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from .. import ir
 from ..analysis.wp import StaticPruneStats, _FalseCond
@@ -177,6 +177,14 @@ class Executor:
         # attributes its kills by tagging ``state.meta['killed']`` at the
         # pruning sites, which the engine reads when the state comes back.
         self.flight = None
+        # Called as ``hook(state, function, block)`` whenever a live state's
+        # running thread is found in a different block after a step (the
+        # searcher's intermediate-goal tracking; set by the engine).
+        self.on_block_entry: Optional[
+            Callable[[ExecutionState, str, str], None]] = None
+        # Decoded functions (name -> label -> entries), filled on first
+        # entry into each function.
+        self._code: dict[str, dict[str, tuple]] = {}
 
     # ------------------------------------------------------------------
     # State construction
@@ -203,51 +211,97 @@ class Executor:
         """Execute one instruction (or one scheduling decision) in ``state``.
 
         Returns every successor state, including terminated ones (bug/exit);
-        callers must check ``state.terminated``.
+        callers must check ``state.status``.
+
+        The instruction comes from the running frame's decoded block
+        (``frame.code``, see :func:`_decode_function`): one index, then a
+        call to the entry's handler with the state, the running thread and
+        its top frame, all of which the state holds alone.
         """
-        if state.terminated:
+        if state.status != "running":
             return [state]
-        thread = state.threads.get(state.current_tid)
+        tid = state.current_tid
+        thread = state.threads.get(tid)
         if thread is None or thread.status != RUNNABLE:
             self._reschedule(state)
-            return [state]
+            return self._settle([state])
         if state.steps >= self.config.max_steps_per_state:
             state.status = "infeasible"
             state.meta["killed"] = "step-limit"
             return [state]
 
-        instr = self._fetch(state)
-        state.note_instruction()
-        self.stats.instructions += 1
+        if thread.holders > 1:
+            thread = state.own_thread(tid)
+        frame = thread.frames[-1]
+        code = frame.code
+        if code is None:
+            code = self._block_code(frame)
+        entry = code[frame.index]
+        state.steps += 1
+        state.segment_instrs += 1
+        thread.instr_count += 1
+        stats = self.stats
+        stats.instructions += 1
         if thread.replaying:
             # Woken after blocking here: this is a retry of an instruction
             # that was already charged when the thread first attempted it.
             thread.replaying = False
-            self.stats.replayed += 1
+            stats.replayed += 1
         try:
-            successors = self._dispatch(state, instr)
+            successors = entry[0](self, state, thread, frame, entry)
         except _ExecError as err:
-            self._mark_bug(state, err.kind, instr, err.message)
+            self._mark_bug(state, err.kind, entry[1], err.message)
             return [state]
         except MemoryError_ as err:
-            self._mark_bug(state, _memory_bug_kind(err), instr, str(err))
+            self._mark_bug(state, _memory_bug_kind(err), entry[1], str(err))
             return [state]
 
-        results: list[ExecutionState] = []
+        if (len(successors) == 1 and state.status == "running"
+                and state.current_tid == tid and thread.status == RUNNABLE):
+            # The common case: the same thread runs on.  Intermediate goals
+            # only need a look when its block changed.
+            hook = self.on_block_entry
+            if hook is not None and thread.frames[-1].code is not state.goal_code:
+                self._enter_block(state, thread, hook)
+            return successors
+        return self._settle(successors)
+
+    def _settle(self, successors: list[ExecutionState]) -> list[ExecutionState]:
+        """Reschedule successors whose running thread cannot go on, and note
+        the block each live successor's running thread now sits in."""
+        hook = self.on_block_entry
         for succ in successors:
-            if not succ.terminated:
-                current = succ.threads.get(succ.current_tid)
-                if current is None or current.status != RUNNABLE:
-                    self._reschedule(succ)
-            results.append(succ)
-        return results
+            if succ.status != "running":
+                continue
+            current = succ.threads.get(succ.current_tid)
+            if current is None or current.status != RUNNABLE:
+                self._reschedule(succ)
+                if succ.status != "running":
+                    continue
+                current = succ.threads[succ.current_tid]
+            if hook is not None and current.frames:
+                self._enter_block(succ, current, hook)
+        return successors
+
+    def _enter_block(
+        self, state: ExecutionState, thread: ThreadState,
+        hook: Callable[[ExecutionState, str, str], None],
+    ) -> None:
+        """Report ``thread``'s block to ``hook`` unless the state's last
+        report was the same block (decoded blocks are unique per
+        (function, label), so identity is the comparison)."""
+        frame = thread.frames[-1]
+        code = frame.code or self._block_code(frame)
+        if code is not state.goal_code:
+            state.goal_code = code
+            hook(state, frame.function, frame.block)
 
     def run_to_completion(
         self, state: ExecutionState, max_steps: int = 5_000_000
     ) -> ExecutionState:
         """Drive a (concrete, non-forking) state until it terminates."""
         steps = 0
-        while not state.terminated:
+        while state.status == "running":
             successors = self.step(state)
             if len(successors) != 1:
                 raise RuntimeError(
@@ -261,22 +315,19 @@ class Executor:
         return state
 
     # ------------------------------------------------------------------
-    # Dispatch
+    # Decoded code
     # ------------------------------------------------------------------
 
-    def _fetch(self, state: ExecutionState) -> ir.Instr:
-        frame = state.frame
-        block = self.module.functions[frame.function].blocks[frame.block]
-        return block.instruction_at(frame.index)
+    def _function_code(self, name: str) -> dict[str, tuple]:
+        """``name``'s decoded blocks, decoding the function on first entry."""
+        code = self._code.get(name)
+        if code is None:
+            code = self._code[name] = _decode_function(self.module.functions[name])
+        return code
 
-    def _dispatch(self, state: ExecutionState, instr: ir.Instr) -> list[ExecutionState]:
-        handler = _HANDLERS.get(type(instr))
-        if handler is None:  # pragma: no cover - verifier rules this out
-            raise _ExecError(BugKind.ABORT, f"unhandled instruction {instr!r}")
-        return handler(self, state, instr)
-
-    def _advance(self, state: ExecutionState) -> None:
-        state.frame.index += 1
+    def _block_code(self, frame: Frame) -> tuple:
+        code = frame.code = self._function_code(frame.function)[frame.block]
+        return code
 
     def _mark_bug(
         self,
@@ -308,31 +359,8 @@ class Executor:
                         f"line={instr.line} tid={state.current_tid}")
 
     # ------------------------------------------------------------------
-    # Value evaluation
+    # Value arithmetic
     # ------------------------------------------------------------------
-
-    def _eval(self, state: ExecutionState, value: ir.Value) -> Value:
-        if isinstance(value, ir.Const):
-            return value.value
-        if isinstance(value, ir.Reg):
-            try:
-                return state.frame.regs[value.name]
-            except KeyError:
-                raise _ExecError(
-                    BugKind.WILD_POINTER,
-                    f"use of uninitialized register %{value.name}",
-                ) from None
-        if isinstance(value, ir.GlobalRef):
-            return Pointer(state.globals[value.name], 0)
-        if isinstance(value, ir.FuncRef):
-            return FnPtr(value.name)
-        if isinstance(value, ir.Hole):
-            return hole_var(value)
-        raise TypeError(f"unknown operand {value!r}")  # pragma: no cover
-
-    def _set(self, state: ExecutionState, dst: ir.Value, value: Value) -> None:
-        assert isinstance(dst, ir.Reg)
-        state.frame.regs[dst.name] = value
 
     # -- arithmetic over mixed concrete/symbolic/pointer values ----------------
 
@@ -449,14 +477,16 @@ class Executor:
     # ------------------------------------------------------------------
 
     def _access(
-        self, state: ExecutionState, addr: Value, instr: ir.Instr, is_write: bool
+        self, state: ExecutionState, frame: Frame, addr: Value,
+        instr: ir.Instr, is_write: bool,
     ) -> tuple[list[ExecutionState], Optional[tuple[ExecutionState, int, int]]]:
         """Resolve ``addr`` for an access.
 
         Returns ``(bug_states, ok)`` where ``ok`` is ``(state, obj_id,
         concrete_offset)`` if an in-bounds access is possible.  Symbolic
         offsets fork an out-of-bounds bug state when the bounds can be
-        violated, and are concretized on the in-bounds path.
+        violated, and are concretized on the in-bounds path.  (Loads and
+        stores through a concrete pointer never get here.)
         """
         if isinstance(addr, int):
             # Small positive addresses are offsets from a NULL base (field or
@@ -474,9 +504,6 @@ class Executor:
             )
         obj = state.address_space.get(addr.obj)
         offset = addr.offset
-        if isinstance(offset, int):
-            return [], (state, addr.obj, offset)
-
         bug_states: list[ExecutionState] = []
         oob = binop(
             "||", binop("<", offset, 0), binop(">=", offset, obj.size)
@@ -489,7 +516,6 @@ class Executor:
         # the in-bounds probe must succeed.  The in-bounds constraint (and
         # the offset concretization behind it) is still added unchanged.
         if self.absint is not None:
-            frame = state.frame
             ref = InstrRef(frame.function, frame.block, frame.index)
             if ref in self.absint.access_safe:
                 self.solver.stats.static_answers += 2
@@ -640,44 +666,52 @@ class Executor:
 
     # ------------------------------------------------------------------
     # Instruction handlers
+    #
+    # Each takes the state, its running thread and that thread's top frame
+    # (all held alone by the state) and the decoded entry, whose layout
+    # :func:`_decode_function` documents.  ``entry[1]`` is the ``ir.Instr``.
     # ------------------------------------------------------------------
 
-    def _exec_assign(self, state: ExecutionState, instr: ir.Assign) -> list[ExecutionState]:
-        self._set(state, instr.dst, self._eval(state, instr.src))
-        self._advance(state)
+    def _exec_assign(self, state, thread, frame, entry) -> list[ExecutionState]:
+        regs = frame.regs
+        regs[entry[2]] = _val(state, regs, entry[3])
+        frame.index += 1
         return [state]
 
-    def _exec_binop(self, state: ExecutionState, instr: ir.BinOp) -> list[ExecutionState]:
-        lhs = self._eval(state, instr.lhs)
-        rhs = self._eval(state, instr.rhs)
-        if instr.op in ("/", "%"):
-            return self._exec_division(state, instr, lhs, rhs)
-        self._set(state, instr.dst, self._compute_binop(instr.op, lhs, rhs))
-        self._advance(state)
+    def _exec_binop(self, state, thread, frame, entry) -> list[ExecutionState]:
+        regs = frame.regs
+        lhs = _val(state, regs, entry[4])
+        rhs = _val(state, regs, entry[5])
+        if lhs.__class__ is int and rhs.__class__ is int:
+            regs[entry[2]] = binop(entry[3], lhs, rhs)
+        else:
+            regs[entry[2]] = self._compute_binop(entry[3], lhs, rhs)
+        frame.index += 1
         return [state]
 
-    def _exec_division(
-        self, state: ExecutionState, instr: ir.BinOp, lhs: Value, rhs: Value
-    ) -> list[ExecutionState]:
+    def _exec_division(self, state, thread, frame, entry) -> list[ExecutionState]:
+        _, instr, dst, op, lhs, rhs = entry
+        regs = frame.regs
+        lhs = _val(state, regs, lhs)
+        rhs = _val(state, regs, rhs)
         if isinstance(lhs, (Pointer, FnPtr)) or isinstance(rhs, (Pointer, FnPtr)):
             raise _ExecError(BugKind.WILD_POINTER, "division involving a pointer")
         if isinstance(rhs, int):
             if rhs == 0:
                 raise _ExecError(BugKind.DIV_BY_ZERO, "division by zero")
-            self._set(state, instr.dst, binop(instr.op, lhs, rhs))
-            self._advance(state)
+            regs[dst] = binop(op, lhs, rhs)
+            frame.index += 1
             return [state]
         # Static pruning: a divisor proven nonzero for every execution
         # cannot fork a division-by-zero bug state; the nonzero constraint
         # the surviving path carries is added unchanged.
         if self.absint is not None:
-            frame = state.frame
             ref = InstrRef(frame.function, frame.block, frame.index)
             if ref in self.absint.nonzero_divisors:
                 self.solver.stats.static_answers += 2
                 state.add_constraint(binop("!=", rhs, 0))
-                self._set(state, instr.dst, binop(instr.op, lhs, rhs))
-                self._advance(state)
+                regs[dst] = binop(op, lhs, rhs)
+                frame.index += 1
                 return [state]
         successors: list[ExecutionState] = []
         zero = binop("==", rhs, 0)
@@ -692,29 +726,31 @@ class Executor:
         nonzero = binop("!=", rhs, 0)
         if self._feasible(state, nonzero):
             state.add_constraint(nonzero)
-            self._set(state, instr.dst, binop(instr.op, lhs, rhs))
-            self._advance(state)
+            regs[dst] = binop(op, lhs, rhs)
+            frame.index += 1
             successors.append(state)
         else:
             state.status = "infeasible"
             successors.append(state)
         return successors
 
-    def _exec_unop(self, state: ExecutionState, instr: ir.UnOp) -> list[ExecutionState]:
-        operand = self._eval(state, instr.value)
+    def _exec_unop(self, state, thread, frame, entry) -> list[ExecutionState]:
+        _, instr, dst, op, operand = entry
+        operand = _val(state, frame.regs, operand)
         if isinstance(operand, (Pointer, FnPtr)):
-            if instr.op == "!":
+            if op == "!":
                 result: Value = 0  # pointers are truthy
             else:
-                raise _ExecError(BugKind.WILD_POINTER, f"unary {instr.op} on pointer")
+                raise _ExecError(BugKind.WILD_POINTER, f"unary {op} on pointer")
         else:
-            result = unop(instr.op, operand)
-        self._set(state, instr.dst, result)
-        self._advance(state)
+            result = unop(op, operand)
+        frame.regs[dst] = result
+        frame.index += 1
         return [state]
 
-    def _exec_alloc(self, state: ExecutionState, instr: ir.Alloc) -> list[ExecutionState]:
-        size_value = self._eval(state, instr.size)
+    def _exec_alloc(self, state, thread, frame, entry) -> list[ExecutionState]:
+        _, instr, dst, size_value, heap, name = entry
+        size_value = _val(state, frame.regs, size_value)
         if isinstance(size_value, (Pointer, FnPtr)):
             raise _ExecError(BugKind.WILD_POINTER, "allocation with pointer size")
         size = (
@@ -723,19 +759,18 @@ class Executor:
         )
         if size < 0:
             raise _ExecError(BugKind.OUT_OF_BOUNDS, f"allocation of negative size {size}")
-        kind = "heap" if instr.heap else "stack"
-        obj = state.new_object(max(size, 0), kind, instr.name)
-        if not instr.heap:
-            state.frame.allocas.append(obj.obj_id)
-        self._set(state, instr.dst, Pointer(obj.obj_id, 0))
-        self._advance(state)
+        obj = state.new_object(max(size, 0), "heap" if heap else "stack", name)
+        if not heap:
+            frame.allocas.append(obj.obj_id)
+        frame.regs[dst] = Pointer(obj.obj_id, 0)
+        frame.index += 1
         return [state]
 
-    def _exec_free(self, state: ExecutionState, instr: ir.Free) -> list[ExecutionState]:
-        ptr = self._eval(state, instr.ptr)
+    def _exec_free(self, state, thread, frame, entry) -> list[ExecutionState]:
+        ptr = _val(state, frame.regs, entry[2])
         if isinstance(ptr, int):
             if ptr == 0:
-                self._advance(state)  # free(NULL) is a no-op, as in C
+                frame.index += 1  # free(NULL) is a no-op, as in C
                 return [state]
             raise _ExecError(BugKind.INVALID_FREE, f"free of integer address {ptr}")
         if not isinstance(ptr, Pointer):
@@ -744,35 +779,47 @@ class Executor:
         if isinstance(offset, Expr):
             offset = self.concretize(state, offset)
         state.address_space.free(ptr.obj, offset)
-        self._advance(state)
+        frame.index += 1
         return [state]
 
-    def _exec_load(self, state: ExecutionState, instr: ir.Load) -> list[ExecutionState]:
-        addr = self._eval(state, instr.addr)
-        extra = self._memory_hook(state, instr, addr, is_write=False)
-        bug_states, ok = self._access(state, addr, instr, is_write=False)
+    def _exec_load(self, state, thread, frame, entry) -> list[ExecutionState]:
+        instr = entry[1]
+        addr = _val(state, frame.regs, entry[3])
+        extra = self._memory_hook(state, frame, instr, addr, is_write=False)
+        if addr.__class__ is Pointer and addr.offset.__class__ is int:
+            # A concrete address cannot fork: read (or fault) directly.
+            frame.regs[entry[2]] = state.address_space.read(addr.obj, addr.offset)
+            frame.index += 1
+            return extra + [state]
+        bug_states, ok = self._access(state, frame, addr, instr, is_write=False)
         if ok is not None:
             ok_state, obj_id, offset = ok
-            value = ok_state.address_space.read(obj_id, offset)
-            self._set(ok_state, instr.dst, value)
-            self._advance(ok_state)
+            frame.regs[entry[2]] = ok_state.address_space.read(obj_id, offset)
+            frame.index += 1
             return extra + bug_states + [ok_state]
-        return extra + bug_states + ([state] if state.terminated or state.status == "infeasible" else [])
+        return extra + bug_states + [state]
 
-    def _exec_store(self, state: ExecutionState, instr: ir.Store) -> list[ExecutionState]:
-        addr = self._eval(state, instr.addr)
-        value = self._eval(state, instr.value)
-        extra = self._memory_hook(state, instr, addr, is_write=True)
-        bug_states, ok = self._access(state, addr, instr, is_write=True)
+    def _exec_store(self, state, thread, frame, entry) -> list[ExecutionState]:
+        instr = entry[1]
+        regs = frame.regs
+        addr = _val(state, regs, entry[2])
+        value = _val(state, regs, entry[3])
+        extra = self._memory_hook(state, frame, instr, addr, is_write=True)
+        if addr.__class__ is Pointer and addr.offset.__class__ is int:
+            state.address_space.write(addr.obj, addr.offset, value)
+            frame.index += 1
+            return extra + [state]
+        bug_states, ok = self._access(state, frame, addr, instr, is_write=True)
         if ok is not None:
             ok_state, obj_id, offset = ok
             ok_state.address_space.write(obj_id, offset, value)
-            self._advance(ok_state)
+            frame.index += 1
             return extra + bug_states + [ok_state]
-        return extra + bug_states + ([state] if state.terminated or state.status == "infeasible" else [])
+        return extra + bug_states + [state]
 
     def _memory_hook(
-        self, state: ExecutionState, instr: ir.Instr, addr: Value, is_write: bool
+        self, state: ExecutionState, frame: Frame, instr: ir.Instr,
+        addr: Value, is_write: bool,
     ) -> list[ExecutionState]:
         """Race-detection / racy-preemption hook for shared-memory accesses."""
         if not self.policy.wants_memory_hooks(state):
@@ -786,14 +833,16 @@ class Executor:
         if obj is None or obj.kind == "stack":
             return []
         forks = self.policy.on_memory_access(
-            self, state, instr, state.pc, (addr.obj, offset), is_write
+            self, state, instr, InstrRef(frame.function, frame.block, frame.index),
+            (addr.obj, offset), is_write,
         )
         self.stats.sched_forks += len(forks)
         return forks
 
-    def _exec_gep(self, state: ExecutionState, instr: ir.Gep) -> list[ExecutionState]:
-        base = self._eval(state, instr.base)
-        offset = self._eval(state, instr.offset)
+    def _exec_gep(self, state, thread, frame, entry) -> list[ExecutionState]:
+        regs = frame.regs
+        base = _val(state, regs, entry[3])
+        offset = _val(state, regs, entry[4])
         if isinstance(offset, (Pointer, FnPtr)):
             raise _ExecError(BugKind.WILD_POINTER, "pointer used as index")
         if isinstance(base, Pointer):
@@ -808,12 +857,14 @@ class Executor:
             result = binop("+", base, offset)
         else:
             raise _ExecError(BugKind.WILD_POINTER, "indexing a function pointer")
-        self._set(state, instr.dst, result)
-        self._advance(state)
+        regs[entry[2]] = result
+        frame.index += 1
         return [state]
 
-    def _exec_call(self, state: ExecutionState, instr: ir.Call) -> list[ExecutionState]:
-        callee = self._eval(state, instr.callee)
+    def _exec_call(self, state, thread, frame, entry) -> list[ExecutionState]:
+        _, instr, dst, callee, args = entry
+        regs = frame.regs
+        callee = _val(state, regs, callee)
         if isinstance(callee, FnPtr):
             name = callee.name
         else:
@@ -823,70 +874,72 @@ class Executor:
         func = self.module.functions.get(name)
         if func is None:
             raise _ExecError(BugKind.WILD_POINTER, f"call to unknown function {name!r}")
-        if len(instr.args) != len(func.params):
+        if len(args) != len(func.params):
             raise _ExecError(
                 BugKind.WILD_POINTER,
-                f"call to {name} with {len(instr.args)} args, "
+                f"call to {name} with {len(args)} args, "
                 f"expected {len(func.params)}",
             )
-        args = [self._eval(state, a) for a in instr.args]
-        self._advance(state)  # the caller resumes *after* the call
-        caller = state.frame
-        frame = Frame(name, func.entry)
-        frame.ret_dst = instr.dst.name if isinstance(instr.dst, ir.Reg) else None
-        for param, value in zip(func.params, args):
-            frame.regs[param] = value
-        state.thread.frames.append(frame)
-        del caller  # clarity: caller frame stays below the new frame
+        values = [_val(state, regs, a) for a in args]
+        frame.index += 1  # the caller resumes *after* the call
+        callee_frame = Frame(name, func.entry)
+        callee_frame.code = self._function_code(name)[func.entry]
+        callee_frame.ret_dst = dst
+        callee_frame.regs = dict(zip(func.params, values))
+        thread.frames.append(callee_frame)
         return [state]
 
-    def _exec_ret(self, state: ExecutionState, instr: ir.Ret) -> list[ExecutionState]:
+    def _exec_ret(self, state, thread, frame, entry) -> list[ExecutionState]:
         value: Value = 0
-        if instr.value is not None:
-            value = self._eval(state, instr.value)
-        thread = state.thread
-        finished = thread.frames.pop()
-        for obj_id in finished.allocas:
-            state.address_space.release_stack(obj_id)
-        if not thread.frames:
-            return self._thread_exit(state, instr, value)
-        if finished.ret_dst is not None:
-            thread.top.regs[finished.ret_dst] = value
+        if entry[2] is not None:
+            value = _val(state, frame.regs, entry[2])
+        frames = thread.frames
+        frames.pop()
+        if frame.allocas:
+            state.address_space.release_stack(frame.allocas)
+        if not frames:
+            return self._thread_exit(state, thread, entry[1], value)
+        caller = thread.own_top()
+        if frame.ret_dst is not None:
+            caller.regs[frame.ret_dst] = value
+        if caller.code is None:
+            self._block_code(caller)
         return [state]
 
     def _thread_exit(
-        self, state: ExecutionState, instr: ir.Instr, value: Value
+        self, state: ExecutionState, thread: ThreadState, instr: ir.Instr,
+        value: Value,
     ) -> list[ExecutionState]:
-        thread = state.thread
         thread.status = EXITED
-        state.log_sync("exit", ("thread", thread.tid), state.pc if thread.frames else InstrRef(thread.entry_function, "exit", 0))
+        state.log_sync("exit", ("thread", thread.tid),
+                       InstrRef(thread.entry_function, "exit", 0))
         if thread.tid == 0:
             # main returned: the process exits (C semantics).
             state.status = "exited"
             state.exit_code = value if isinstance(value, int) else 0
             return [state]
-        for other in state.threads.values():
-            if (
-                other.status == BLOCKED
-                and other.blocked_on == ("join", thread.tid)
-            ):
+        joining = ("join", thread.tid)
+        for tid, other in list(state.threads.items()):
+            if other.status == BLOCKED and other.blocked_on == joining:
+                other = state.own_thread(tid)
                 other.status = RUNNABLE
                 other.blocked_on = None
         forks = self.policy.on_thread_event(self, state, "exit", thread.tid, instr)
         self.stats.sched_forks += len(forks)
         return forks + [state]
 
-    def _exec_br(self, state: ExecutionState, instr: ir.Br) -> list[ExecutionState]:
-        frame = state.frame
-        frame.block = instr.target
+    def _exec_br(self, state, thread, frame, entry) -> list[ExecutionState]:
+        target = entry[2]
+        frame.block = target
         frame.index = 0
+        frame.code = entry[3][target]
         return [state]
 
     # ------------------------------------------------------------------
     # Goal-directed necessary-precondition checks (see :mod:`..analysis.wp`)
     # ------------------------------------------------------------------
 
-    def _wp_applicable(self, state: ExecutionState) -> bool:
+    def _wp_applicable(self, state: ExecutionState, thread: ThreadState) -> bool:
         """May refuted necessary conditions prune this state?
 
         Only single-threaded states (the conditions reason sequentially),
@@ -899,21 +952,19 @@ class Executor:
             return False
         if len(state.threads) != 1:
             return False
-        frames = state.thread.frames
         reach = self.wp.reach_blocks
-        for frame in frames[:-1]:  # outer frames (top of stack is last)
+        for frame in thread.frames[:-1]:  # outer frames (top of stack is last)
             if (frame.function, frame.block) in reach:
                 return False
         return True
 
-    def _wp_refuted(self, state: ExecutionState, function: str, label: str) -> bool:
+    def _wp_refuted(self, state: ExecutionState, frame: Frame, label: str) -> bool:
         """Does the state's concrete store contradict the necessary
         condition at ``label``'s entry?  Symbolic or unreadable cells never
         refute -- only definite concrete violations do."""
-        cond = self.wp.condition_at(function, label)  # type: ignore[union-attr]
+        cond = self.wp.condition_at(frame.function, label)  # type: ignore[union-attr]
         if isinstance(cond, _FalseCond):
             return True
-        frame = state.frame
         for (kind, func, name), interval in cond.items():
             if kind == "global":
                 obj_id = state.globals.get(name)
@@ -942,14 +993,14 @@ class Executor:
         state.meta["killed"] = "wp-dead"
         self.prune_stats.state_kills += 1
 
-    def _exec_condbr(self, state: ExecutionState, instr: ir.CondBr) -> list[ExecutionState]:
-        cond = self._truth_value(self._eval(state, instr.cond))
-        frame = state.frame
+    def _exec_condbr(self, state, thread, frame, entry) -> list[ExecutionState]:
+        _, instr, cond, then_target, else_target, blocks = entry
+        cond = self._truth_value(_val(state, frame.regs, cond))
         if isinstance(cond, int):
-            target = instr.then_target if cond else instr.else_target
-            if self.wp is not None and self._wp_applicable(state):
+            target = then_target if cond else else_target
+            if self.wp is not None and self._wp_applicable(state, thread):
                 self.prune_stats.checks += 1
-                if self._wp_refuted(state, frame.function, target):
+                if self._wp_refuted(state, frame, target):
                     if self.wp_audit:
                         state.meta["wp_dead"] = True
                     else:
@@ -958,6 +1009,7 @@ class Executor:
                         return [state]
             frame.block = target
             frame.index = 0
+            frame.code = blocks[target]
             return [state]
 
         # Static pruning: the abstract interpreter proved one direction
@@ -976,15 +1028,17 @@ class Executor:
                     state.add_constraint(
                         cond if isinstance(cond, Expr) else truthy(cond)
                     )
-                    frame.block = instr.then_target
+                    target = then_target
                 else:
                     false_cond = negate(cond)
                     state.add_constraint(
                         false_cond if isinstance(false_cond, Expr)
                         else truthy(false_cond)
                     )
-                    frame.block = instr.else_target
+                    target = else_target
+                frame.block = target
                 frame.index = 0
+                frame.code = blocks[target]
                 return [state]
 
         # Goal-directed pruning: a direction whose target block's necessary
@@ -995,10 +1049,10 @@ class Executor:
         # would, so the goal path's constraints -- and the synthesized
         # artifact -- are unchanged; only dead subtrees disappear.
         dead_then = dead_else = False
-        if self.wp is not None and self._wp_applicable(state):
+        if self.wp is not None and self._wp_applicable(state, thread):
             self.prune_stats.checks += 1
-            dead_then = self._wp_refuted(state, frame.function, instr.then_target)
-            dead_else = self._wp_refuted(state, frame.function, instr.else_target)
+            dead_then = self._wp_refuted(state, frame, then_target)
+            dead_else = self._wp_refuted(state, frame, else_target)
         if (dead_then or dead_else) and not self.wp_audit:
             self.solver.stats.wp_refuted += int(dead_then) + int(dead_else)
             if dead_then and dead_else:
@@ -1012,7 +1066,7 @@ class Executor:
                     self._wp_kill(state)
                     return [state]
                 state.add_constraint(cond if isinstance(cond, Expr) else truthy(cond))
-                frame.block = instr.then_target
+                target = then_target
             else:
                 false_cond = negate(cond)
                 if not self._feasible(state, false_cond):
@@ -1021,24 +1075,26 @@ class Executor:
                 state.add_constraint(
                     false_cond if isinstance(false_cond, Expr) else truthy(false_cond)
                 )
-                frame.block = instr.else_target
+                target = else_target
+            frame.block = target
             frame.index = 0
+            frame.code = blocks[target]
             return [state]
 
-        successors = self._condbr_fork(state, instr, cond)
+        successors = self._condbr_fork(state, frame, entry, cond)
         if self.wp_audit and (dead_then or dead_else):
             for succ in successors:
                 if succ.status != "running":
                     continue
                 block = succ.frame.block
-                if (dead_then and block == instr.then_target) or (
-                    dead_else and block == instr.else_target
+                if (dead_then and block == then_target) or (
+                    dead_else and block == else_target
                 ):
                     succ.meta["wp_dead"] = True
         return successors
 
     def _condbr_fork(
-        self, state: ExecutionState, instr: ir.CondBr, cond: Value
+        self, state: ExecutionState, frame: Frame, entry: tuple, cond: Value
     ) -> list[ExecutionState]:
         # Probe each direction against the state's *original* path witness:
         # exactly one direction holds under it, so one of the two probes is
@@ -1046,7 +1102,7 @@ class Executor:
         # model leak into the second would poison it (a model satisfying
         # ``cond`` never satisfies ``!cond``), and each surviving branch
         # must keep the model matching the constraint it adds.
-        frame = state.frame
+        then_target, else_target, blocks = entry[3], entry[4], entry[5]
         orig_model = state.last_model
         true_feasible = self._feasible(state, cond)
         true_model = state.last_model
@@ -1059,39 +1115,42 @@ class Executor:
             self.stats.states_created += 1
             state.last_model = true_model
             other.add_constraint(false_cond)
-            other_frame = other.frame
-            other_frame.block = instr.else_target
+            other_frame = other.threads[other.current_tid].frames[-1]
+            other_frame.block = else_target
             other_frame.index = 0
+            other_frame.code = blocks[else_target]
             state.add_constraint(cond if isinstance(cond, Expr) else truthy(cond))
-            frame.block = instr.then_target
+            frame.block = then_target
             frame.index = 0
+            frame.code = blocks[then_target]
             return [state, other]
         if true_feasible:
             state.last_model = true_model
             state.add_constraint(cond if isinstance(cond, Expr) else truthy(cond))
-            frame.block = instr.then_target
+            target = then_target
         elif false_feasible:
             state.add_constraint(false_cond if isinstance(false_cond, Expr) else truthy(false_cond))
-            frame.block = instr.else_target
+            target = else_target
         else:
             state.status = "infeasible"
             return [state]
+        frame.block = target
         frame.index = 0
+        frame.code = blocks[target]
         return [state]
 
-    def _exec_unreachable(
-        self, state: ExecutionState, instr: ir.Unreachable
-    ) -> list[ExecutionState]:
+    def _exec_unreachable(self, state, thread, frame, entry) -> list[ExecutionState]:
         raise _ExecError(BugKind.ABORT, "reached unreachable code")
 
-    def _exec_assert(self, state: ExecutionState, instr: ir.Assert) -> list[ExecutionState]:
-        cond = self._truth_value(self._eval(state, instr.cond))
+    def _exec_assert(self, state, thread, frame, entry) -> list[ExecutionState]:
+        _, instr, cond, message = entry
+        cond = self._truth_value(_val(state, frame.regs, cond))
         if isinstance(cond, int):
             if cond:
-                self._advance(state)
+                frame.index += 1
                 return [state]
             self._mark_bug(
-                state, BugKind.ASSERT_FAIL, instr, f"assertion failed: {instr.message}"
+                state, BugKind.ASSERT_FAIL, instr, f"assertion failed: {message}"
             )
             return [state]
         successors: list[ExecutionState] = []
@@ -1102,13 +1161,13 @@ class Executor:
             self.stats.states_created += 1
             bug.add_constraint(failing)
             self._mark_bug(
-                bug, BugKind.ASSERT_FAIL, instr, f"assertion failed: {instr.message}"
+                bug, BugKind.ASSERT_FAIL, instr, f"assertion failed: {message}"
             )
             successors.append(bug)
         state.last_model = orig_model  # un-poison the passing-side probe
         if self._feasible(state, cond):
             state.add_constraint(cond)
-            self._advance(state)
+            frame.index += 1
             successors.append(state)
         else:
             state.status = "infeasible"
@@ -1117,11 +1176,20 @@ class Executor:
 
     # -- synchronization --------------------------------------------------------
 
-    def _exec_lock(self, state: ExecutionState, instr: ir.MutexLock) -> list[ExecutionState]:
-        key = self._sync_key(state, self._eval(state, instr.mutex))
-        ref = state.pc
+    def _wake(self, state: ExecutionState, tids: list[int], blocked_on: tuple) -> None:
+        """Make every thread in ``tids`` blocked on ``blocked_on`` runnable."""
+        for tid in tids:
+            waiter = state.threads[tid]
+            if waiter.status == BLOCKED and waiter.blocked_on == blocked_on:
+                waiter = state.own_thread(tid)
+                waiter.status = RUNNABLE
+                waiter.blocked_on = None
+
+    def _exec_lock(self, state, thread, frame, entry) -> list[ExecutionState]:
+        instr = entry[1]
+        key = self._sync_key(state, _val(state, frame.regs, entry[2]))
+        ref = InstrRef(frame.function, frame.block, frame.index)
         rec = state.mutexes.setdefault(key, _fresh_mutex())
-        thread = state.thread
         if rec.owner is None:
             forks = self.policy.fork_before_acquire(self, state, key, instr, ref)
             self.stats.sched_forks += len(forks)
@@ -1130,7 +1198,7 @@ class Executor:
             if thread.tid in rec.waiters:
                 rec.waiters.remove(thread.tid)
             state.log_sync("lock", key, ref)
-            self._advance(state)
+            frame.index += 1
             after = self.policy.after_acquire(self, state, key, instr, ref)
             self.stats.sched_forks += len(after)
             return forks + after + [state]
@@ -1149,9 +1217,10 @@ class Executor:
         self.stats.sched_forks += len(forks)
         return forks + [state]
 
-    def _exec_unlock(self, state: ExecutionState, instr: ir.MutexUnlock) -> list[ExecutionState]:
-        key = self._sync_key(state, self._eval(state, instr.mutex))
-        ref = state.pc
+    def _exec_unlock(self, state, thread, frame, entry) -> list[ExecutionState]:
+        instr = entry[1]
+        key = self._sync_key(state, _val(state, frame.regs, entry[2]))
+        ref = InstrRef(frame.function, frame.block, frame.index)
         rec = state.mutexes.get(key)
         if rec is None or rec.owner != state.current_tid:
             raise _ExecError(
@@ -1162,21 +1231,19 @@ class Executor:
         self.stats.sched_forks += len(forks)
         rec = state.mutexes[key]
         rec.owner = None
-        for waiter_tid in rec.waiters:
-            waiter = state.threads[waiter_tid]
-            if waiter.status == BLOCKED and waiter.blocked_on == ("mutex", key):
-                waiter.status = RUNNABLE
-                waiter.blocked_on = None
+        self._wake(state, rec.waiters, ("mutex", key))
         rec.waiters.clear()
         state.log_sync("unlock", key, ref)
-        self._advance(state)
+        frame.index += 1
         self.policy.on_release(self, state, key, instr, ref)
         return forks + [state]
 
-    def _exec_cond_wait(self, state: ExecutionState, instr: ir.CondWait) -> list[ExecutionState]:
-        cond_key = self._sync_key(state, self._eval(state, instr.cond))
-        mutex_key = self._sync_key(state, self._eval(state, instr.mutex))
-        thread = state.thread
+    def _exec_cond_wait(self, state, thread, frame, entry) -> list[ExecutionState]:
+        instr = entry[1]
+        regs = frame.regs
+        cond_key = self._sync_key(state, _val(state, regs, entry[2]))
+        mutex_key = self._sync_key(state, _val(state, regs, entry[3]))
+        ref = InstrRef(frame.function, frame.block, frame.index)
 
         if thread.reacquire_mutex is not None:
             # Phase 2: signaled; re-acquire the mutex, then the wait returns.
@@ -1186,8 +1253,8 @@ class Executor:
                 if thread.tid in rec.waiters:
                     rec.waiters.remove(thread.tid)
                 thread.reacquire_mutex = None
-                state.log_sync("wakelock", mutex_key, state.pc)
-                self._advance(state)
+                state.log_sync("wakelock", mutex_key, ref)
+                frame.index += 1
                 return [state]
             if thread.tid not in rec.waiters:
                 rec.waiters.append(thread.tid)
@@ -1204,41 +1271,38 @@ class Executor:
                 BugKind.INVALID_UNLOCK, "cond_wait without holding the mutex"
             )
         rec.owner = None
-        for waiter_tid in rec.waiters:
-            waiter = state.threads[waiter_tid]
-            if waiter.status == BLOCKED and waiter.blocked_on == ("mutex", mutex_key):
-                waiter.status = RUNNABLE
-                waiter.blocked_on = None
+        self._wake(state, rec.waiters, ("mutex", mutex_key))
         rec.waiters.clear()
         state.condvars.setdefault(cond_key, []).append(thread.tid)
         thread.status = BLOCKED
         thread.blocked_on = ("cond", cond_key)
         thread.reacquire_mutex = mutex_key
         thread.replaying = True  # the signaled wait re-executes as phase 2
-        state.log_sync("wait", cond_key, state.pc)
+        state.log_sync("wait", cond_key, ref)
         return [state]
 
-    def _exec_cond_signal(self, state: ExecutionState, instr: ir.CondSignal) -> list[ExecutionState]:
-        cond_key = self._sync_key(state, self._eval(state, instr.cond))
+    def _exec_cond_signal(self, state, thread, frame, entry) -> list[ExecutionState]:
+        _, instr, cond, broadcast = entry
+        cond_key = self._sync_key(state, _val(state, frame.regs, cond))
         waiters = state.condvars.get(cond_key, [])
-        woken = list(waiters) if instr.broadcast else waiters[:1]
+        woken = list(waiters) if broadcast else waiters[:1]
         for tid in woken:
             waiters.remove(tid)
-            thread = state.threads[tid]
-            thread.status = RUNNABLE
-            thread.blocked_on = None
+            woken_thread = state.own_thread(tid)
+            woken_thread.status = RUNNABLE
+            woken_thread.blocked_on = None
             # reacquire_mutex stays set: the wait resumes in phase 2.
-        op = "broadcast" if instr.broadcast else "signal"
-        state.log_sync(op, cond_key, state.pc)
-        self._advance(state)
+        op = "broadcast" if broadcast else "signal"
+        state.log_sync(op, cond_key, InstrRef(frame.function, frame.block, frame.index))
+        frame.index += 1
         forks = self.policy.on_thread_event(self, state, op, state.current_tid, instr)
         self.stats.sched_forks += len(forks)
         return forks + [state]
 
-    def _exec_thread_create(
-        self, state: ExecutionState, instr: ir.ThreadCreate
-    ) -> list[ExecutionState]:
-        func_value = self._eval(state, instr.func)
+    def _exec_thread_create(self, state, thread, frame, entry) -> list[ExecutionState]:
+        _, instr, dst, func_value, arg = entry
+        regs = frame.regs
+        func_value = _val(state, regs, func_value)
         if not isinstance(func_value, FnPtr):
             raise _ExecError(
                 BugKind.WILD_POINTER, f"thread start routine is {func_value!r}"
@@ -1253,36 +1317,38 @@ class Executor:
                 BugKind.WILD_POINTER,
                 f"start routine {func.name} must take exactly one argument",
             )
-        arg = self._eval(state, instr.arg)
+        arg = _val(state, regs, arg)
         tid = state.next_tid
         state.next_tid += 1
-        thread = ThreadState(tid, func.name)
-        frame = Frame(func.name, func.entry)
-        frame.regs[func.params[0]] = arg
-        thread.frames.append(frame)
-        state.threads[tid] = thread
-        if instr.dst is not None:
-            self._set(state, instr.dst, tid)
-        state.log_sync("create", ("thread", tid), state.pc)
-        self._advance(state)
+        created = ThreadState(tid, func.name)
+        start = Frame(func.name, func.entry)
+        start.regs[func.params[0]] = arg
+        created.frames.append(start)
+        state.threads[tid] = created
+        if dst is not None:
+            regs[dst] = tid
+        state.log_sync("create", ("thread", tid),
+                       InstrRef(frame.function, frame.block, frame.index))
+        frame.index += 1
         forks = self.policy.on_thread_event(self, state, "create", tid, instr)
         self.stats.sched_forks += len(forks)
         return forks + [state]
 
-    def _exec_thread_join(self, state: ExecutionState, instr: ir.ThreadJoin) -> list[ExecutionState]:
-        tid_value = self._eval(state, instr.tid)
+    def _exec_thread_join(self, state, thread, frame, entry) -> list[ExecutionState]:
+        dst = entry[2]
+        tid_value = _val(state, frame.regs, entry[3])
         if isinstance(tid_value, Expr):
             tid_value = self.concretize(state, tid_value)
         if not isinstance(tid_value, int) or tid_value not in state.threads:
             raise _ExecError(BugKind.WILD_POINTER, f"join of unknown thread {tid_value!r}")
         target = state.threads[tid_value]
         if target.status == EXITED:
-            if instr.dst is not None:
-                self._set(state, instr.dst, 0)
-            state.log_sync("join", ("thread", tid_value), state.pc)
-            self._advance(state)
+            if dst is not None:
+                frame.regs[dst] = 0
+            state.log_sync("join", ("thread", tid_value),
+                           InstrRef(frame.function, frame.block, frame.index))
+            frame.index += 1
             return [state]
-        thread = state.thread
         thread.status = BLOCKED
         thread.blocked_on = ("join", tid_value)
         thread.replaying = True  # the join re-executes once the target exits
@@ -1290,9 +1356,9 @@ class Executor:
 
     # -- intrinsics ------------------------------------------------------------
 
-    def _exec_intrinsic(self, state: ExecutionState, instr: ir.Intrinsic) -> list[ExecutionState]:
-        name = instr.name
-        args = [self._eval(state, a) for a in instr.args]
+    def _exec_intrinsic(self, state, thread, frame, entry) -> list[ExecutionState]:
+        _, instr, dst, name, args = entry
+        args = [_val(state, frame.regs, a) for a in args]
         result: Value = 0
         if name == "getchar":
             result = self.env.getchar(state)
@@ -1317,9 +1383,9 @@ class Executor:
                 raise _ExecError(BugKind.WILD_POINTER, "read_input size must be positive")
             result = self.env.read_input(state, label, size)
         elif name == "print_int":
-            state.output.append(_format_value(args[0]))
+            state.log_output(_format_value(args[0]))
         elif name == "print_str":
-            state.output.append(self._read_cstring(state, args[0], lossy=True))
+            state.log_output(self._read_cstring(state, args[0], lossy=True))
         elif name == "exit":
             code = args[0]
             state.status = "exited"
@@ -1340,9 +1406,9 @@ class Executor:
                 return [state]
         else:  # pragma: no cover - verifier rules this out
             raise _ExecError(BugKind.ABORT, f"unknown intrinsic {name}")
-        if instr.dst is not None:
-            self._set(state, instr.dst, result)
-        self._advance(state)
+        if dst is not None:
+            frame.regs[dst] = result
+        frame.index += 1
         return [state]
 
     def _read_cstring(
@@ -1409,26 +1475,166 @@ def _format_value(value: Value) -> str:
     return f"<sym {value!r}>"
 
 
-_HANDLERS = {
-    ir.Assign: Executor._exec_assign,
-    ir.BinOp: Executor._exec_binop,
-    ir.UnOp: Executor._exec_unop,
-    ir.Alloc: Executor._exec_alloc,
-    ir.Free: Executor._exec_free,
-    ir.Load: Executor._exec_load,
-    ir.Store: Executor._exec_store,
-    ir.Gep: Executor._exec_gep,
-    ir.Call: Executor._exec_call,
-    ir.Ret: Executor._exec_ret,
-    ir.Br: Executor._exec_br,
-    ir.CondBr: Executor._exec_condbr,
-    ir.Unreachable: Executor._exec_unreachable,
-    ir.Assert: Executor._exec_assert,
-    ir.Intrinsic: Executor._exec_intrinsic,
-    ir.MutexLock: Executor._exec_lock,
-    ir.MutexUnlock: Executor._exec_unlock,
-    ir.CondWait: Executor._exec_cond_wait,
-    ir.CondSignal: Executor._exec_cond_signal,
-    ir.ThreadCreate: Executor._exec_thread_create,
-    ir.ThreadJoin: Executor._exec_thread_join,
-}
+# ---------------------------------------------------------------------------
+# Decoding: IR blocks to flat tuples of (handler, instr, resolved operands...)
+#
+# Operands decode to a register name (``str``), a constant value (``int`` or
+# ``FnPtr``), or a :class:`_Late` operand resolved against the state when
+# read.  Entry layouts, after ``(handler, instr)``:
+#
+#   Assign (dst, src)             BinOp (dst, op, lhs, rhs)
+#   UnOp (dst, op, value)         Alloc (dst, size, heap, name)
+#   Free (ptr)                    Load (dst, addr)
+#   Store (addr, value)           Gep (dst, base, offset)
+#   Call (dst|None, callee, args) Ret (value|None)
+#   Br (target, blocks)           CondBr (cond, then, else, blocks)
+#   Assert (cond, message)        Intrinsic (dst|None, name, args)
+#   MutexLock/Unlock (mutex)      CondWait (cond, mutex)
+#   CondSignal (cond, broadcast)  ThreadCreate (dst|None, func, arg)
+#   ThreadJoin (dst|None, tid)    Unreachable ()
+#
+# ``blocks`` is the function's label -> decoded block map, so a branch sets
+# the frame's next block with one lookup.
+# ---------------------------------------------------------------------------
+
+
+class _Late:
+    """An operand whose value depends on the state it is read in."""
+
+    __slots__ = ()
+
+    def resolve(self, state: ExecutionState) -> Value:
+        raise NotImplementedError
+
+
+class _GlobalOperand(_Late):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def resolve(self, state: ExecutionState) -> Value:
+        return Pointer(state.globals[self.name], 0)
+
+
+class _HoleOperand(_Late):
+    # Resolved per read, not at decode time: the hole registry may evict.
+    __slots__ = ("hole",)
+
+    def __init__(self, hole: "ir.Hole") -> None:
+        self.hole = hole
+
+    def resolve(self, state: ExecutionState) -> Value:
+        return hole_var(self.hole)
+
+
+def _val(state: ExecutionState, regs: dict, operand) -> Value:
+    """The runtime value of a decoded operand in ``regs``' frame."""
+    if operand.__class__ is str:
+        try:
+            return regs[operand]
+        except KeyError:
+            raise _ExecError(
+                BugKind.WILD_POINTER,
+                f"use of uninitialized register %{operand}",
+            ) from None
+    if isinstance(operand, _Late):
+        return operand.resolve(state)
+    return operand
+
+
+def _operand(value: ir.Value):
+    if isinstance(value, ir.Reg):
+        return value.name
+    if isinstance(value, ir.Const):
+        return value.value
+    if isinstance(value, ir.GlobalRef):
+        return _GlobalOperand(value.name)
+    if isinstance(value, ir.FuncRef):
+        return FnPtr(value.name)
+    if isinstance(value, ir.Hole):
+        return _HoleOperand(value)
+    raise TypeError(f"unknown operand {value!r}")  # pragma: no cover
+
+
+def _dst(value: Optional[ir.Value]) -> Optional[str]:
+    if value is None:
+        return None
+    assert isinstance(value, ir.Reg)
+    return value.name
+
+
+def _decode(instr: ir.Instr, blocks: dict[str, tuple]) -> tuple:
+    op = _operand
+    cls = type(instr)
+    if cls is ir.Assign:
+        return (Executor._exec_assign, instr, _dst(instr.dst), op(instr.src))
+    if cls is ir.BinOp:
+        handler = (Executor._exec_division if instr.op in ("/", "%")
+                   else Executor._exec_binop)
+        return (handler, instr, _dst(instr.dst), instr.op,
+                op(instr.lhs), op(instr.rhs))
+    if cls is ir.UnOp:
+        return (Executor._exec_unop, instr, _dst(instr.dst), instr.op,
+                op(instr.value))
+    if cls is ir.Alloc:
+        return (Executor._exec_alloc, instr, _dst(instr.dst), op(instr.size),
+                instr.heap, instr.name)
+    if cls is ir.Free:
+        return (Executor._exec_free, instr, op(instr.ptr))
+    if cls is ir.Load:
+        return (Executor._exec_load, instr, _dst(instr.dst), op(instr.addr))
+    if cls is ir.Store:
+        return (Executor._exec_store, instr, op(instr.addr), op(instr.value))
+    if cls is ir.Gep:
+        return (Executor._exec_gep, instr, _dst(instr.dst), op(instr.base),
+                op(instr.offset))
+    if cls is ir.Call:
+        dst = instr.dst.name if isinstance(instr.dst, ir.Reg) else None
+        return (Executor._exec_call, instr, dst, op(instr.callee),
+                tuple(op(a) for a in instr.args))
+    if cls is ir.Ret:
+        return (Executor._exec_ret, instr,
+                None if instr.value is None else op(instr.value))
+    if cls is ir.Br:
+        return (Executor._exec_br, instr, instr.target, blocks)
+    if cls is ir.CondBr:
+        return (Executor._exec_condbr, instr, op(instr.cond),
+                instr.then_target, instr.else_target, blocks)
+    if cls is ir.Unreachable:
+        return (Executor._exec_unreachable, instr)
+    if cls is ir.Assert:
+        return (Executor._exec_assert, instr, op(instr.cond), instr.message)
+    if cls is ir.Intrinsic:
+        return (Executor._exec_intrinsic, instr, _dst(instr.dst), instr.name,
+                tuple(op(a) for a in instr.args))
+    if cls is ir.MutexLock:
+        return (Executor._exec_lock, instr, op(instr.mutex))
+    if cls is ir.MutexUnlock:
+        return (Executor._exec_unlock, instr, op(instr.mutex))
+    if cls is ir.CondWait:
+        return (Executor._exec_cond_wait, instr, op(instr.cond), op(instr.mutex))
+    if cls is ir.CondSignal:
+        return (Executor._exec_cond_signal, instr, op(instr.cond), instr.broadcast)
+    if cls is ir.ThreadCreate:
+        return (Executor._exec_thread_create, instr, _dst(instr.dst),
+                op(instr.func), op(instr.arg))
+    if cls is ir.ThreadJoin:
+        return (Executor._exec_thread_join, instr, _dst(instr.dst), op(instr.tid))
+    return (_unhandled, instr)  # pragma: no cover - verifier rules this out
+
+
+def _unhandled(executor, state, thread, frame, entry) -> list[ExecutionState]:
+    raise _ExecError(BugKind.ABORT, f"unhandled instruction {entry[1]!r}")
+
+
+def _decode_function(function: ir.Function) -> dict[str, tuple]:
+    """Decode every block of ``function`` into a tuple of entries, the
+    terminator last, so instruction ``i`` of a block is ``code[i]``."""
+    blocks: dict[str, tuple] = {}
+    for label, block in function.blocks.items():
+        instrs = list(block.instrs)
+        if block.terminator is not None:
+            instrs.append(block.terminator)
+        blocks[label] = tuple(_decode(instr, blocks) for instr in instrs)
+    return blocks

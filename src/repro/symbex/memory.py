@@ -2,10 +2,12 @@
 
 An execution state's address space is a map from object ids to
 :class:`MemObject` (an array of word cells).  Forking a state shallow-copies
-the map and marks every object shared; the first write in either state clones
-just that object.  This is the Klee copy-on-write design the paper calls out
-as the key to cheap snapshots and scalable schedule search (sections 4.1 and
-6.1).
+the map and counts one more holder on every object; a write to an object
+with more than one holder clones just that object and gives up the writer's
+hold on the original, so once every other holder has cloned it away, the
+last one writes in place again.  This is the Klee copy-on-write design the
+paper calls out as the key to cheap snapshots and scalable schedule search
+(sections 4.1 and 6.1).
 
 Runtime pointer values are :class:`Pointer` -- an (object id, offset) pair.
 Offsets may be symbolic; the executor concretizes them at access time.
@@ -69,9 +71,13 @@ class DoubleFree(MemoryError_):
 
 
 class MemObject:
-    """A contiguous run of word cells."""
+    """A contiguous run of word cells.
 
-    __slots__ = ("obj_id", "name", "kind", "cells", "freed", "shared")
+    ``holders`` counts the address spaces whose maps reference the object
+    (an upper bound: a dropped state never releases its hold).
+    """
+
+    __slots__ = ("obj_id", "name", "kind", "cells", "freed", "holders")
 
     def __init__(
         self, obj_id: int, size: int, kind: str, name: str = "",
@@ -84,20 +90,20 @@ class MemObject:
         if init and len(self.cells) < size:
             self.cells.extend([0] * (size - len(self.cells)))
         self.freed = False
-        self.shared = False
+        self.holders = 1
 
     @property
     def size(self) -> int:
         return len(self.cells)
 
-    def clone(self) -> "MemObject":
+    def clone(self, share_cells: bool = False) -> "MemObject":
         copy = MemObject.__new__(MemObject)
         copy.obj_id = self.obj_id
         copy.name = self.name
         copy.kind = self.kind
-        copy.cells = list(self.cells)
+        copy.cells = self.cells if share_cells else list(self.cells)
         copy.freed = self.freed
-        copy.shared = False
+        copy.holders = 1
         return copy
 
     def __repr__(self) -> str:
@@ -116,10 +122,23 @@ class AddressSpace:
     def fork(self) -> "AddressSpace":
         """Share all objects with a new address space (O(objects), no data copy)."""
         for obj in self.objects.values():
-            obj.shared = True
+            obj.holders += 1
         other = AddressSpace.__new__(AddressSpace)
         other.objects = dict(self.objects)
         return other
+
+    def _mark_freed(self, obj: MemObject) -> None:
+        """Free ``obj`` in this space only.
+
+        A shared object is replaced by a freed copy that shares its cells
+        instead of copying them: no access reads a freed object's cells.
+        The copy keeps this space's hold on the original, so the
+        original's next writer clones it and the shared cells stay as they
+        were at the free.
+        """
+        if obj.holders > 1:
+            obj = self.objects[obj.obj_id] = obj.clone(share_cells=True)
+        obj.freed = True
 
     def add(self, obj: MemObject) -> MemObject:
         assert obj.obj_id not in self.objects
@@ -150,9 +169,9 @@ class AddressSpace:
             raise OutOfBounds(
                 f"write at offset {offset} of {obj!r} (size {obj.size})", obj
             )
-        if obj.shared:
-            obj = obj.clone()
-            self.objects[obj_id] = obj
+        if obj.holders > 1:  # clone for this space; give up its hold
+            obj.holders -= 1
+            obj = self.objects[obj_id] = obj.clone()
         obj.cells[offset] = value
 
     def free(self, obj_id: int, offset: int) -> None:
@@ -165,20 +184,16 @@ class AddressSpace:
             raise InvalidFree(f"free of non-heap {obj!r}", obj)
         if obj.freed:
             raise DoubleFree(f"double free of {obj!r}", obj)
-        if obj.shared:
-            obj = obj.clone()
-            self.objects[obj_id] = obj
-        obj.freed = True
+        self._mark_freed(obj)
 
-    def release_stack(self, obj_id: int) -> None:
-        """Mark a stack object dead on frame exit (enables stack-UAF checks)."""
-        obj = self.objects.get(obj_id)
-        if obj is None or obj.freed:
-            return
-        if obj.shared:
-            obj = obj.clone()
-            self.objects[obj_id] = obj
-        obj.freed = True
+    def release_stack(self, obj_ids: list[int]) -> None:
+        """Mark a returning frame's stack objects dead (enables stack-UAF
+        checks)."""
+        objects = self.objects
+        for obj_id in obj_ids:
+            obj = objects.get(obj_id)
+            if obj is not None and not obj.freed:
+                self._mark_freed(obj)
 
     def __len__(self) -> int:
         return len(self.objects)

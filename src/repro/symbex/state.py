@@ -3,8 +3,20 @@
 An execution state is "a program counter, a stack, and an address space"
 (paper section 3.3) -- extended here, as in the paper's section 6.1, with a
 set of simulated threads sharing the address space, one of which runs at a
-time.  States fork at symbolic branches and at scheduling decisions; COW
-memory keeps forks cheap.
+time.  States fork at symbolic branches and at scheduling decisions.
+
+Forking is O(1) in the length of the path.  Nothing is copied eagerly
+except the running thread's top frame (its registers) for the child; every
+other structure is shared under one of two rules:
+
+* *append-only logs* (``sync_log``, ``segments``, ``output``,
+  ``input_events``) are never mutated in place -- an append replaces the
+  list -- so both sides of a fork share them freely;
+* *holder-counted objects* (threads, frames, the constraint index, the
+  environment, and memory objects) carry a count of the states or threads
+  referencing them.  A writer that finds the count above one clones the
+  object for itself and decrements the original's count, so after a fork
+  exactly one side pays a clone and the other writes in place.
 """
 
 from __future__ import annotations
@@ -22,9 +34,16 @@ AddrKey = tuple[int, int]  # (object id, concrete offset): identity of a sync ob
 
 
 class Frame:
-    """One activation record: function position + virtual registers."""
+    """One activation record: function position + virtual registers.
 
-    __slots__ = ("function", "block", "index", "regs", "ret_dst", "allocas")
+    ``code`` caches the executor's decoded form of the current block (see
+    :meth:`repro.symbex.executor.Executor.step`); it is ``None`` until the
+    executor first runs the frame, and travels with the frame's position.
+    ``holders`` counts the threads whose stacks contain this frame.
+    """
+
+    __slots__ = ("function", "block", "index", "regs", "ret_dst", "allocas",
+                 "code", "holders")
 
     def __init__(self, function: str, block: str = "entry") -> None:
         self.function = function
@@ -33,6 +52,8 @@ class Frame:
         self.regs: dict[str, CellValue] = {}
         self.ret_dst: Optional[str] = None  # caller register receiving the return
         self.allocas: list[int] = []  # stack object ids to release on return
+        self.code: Optional[tuple] = None
+        self.holders = 1
 
     def clone(self) -> "Frame":
         copy = Frame.__new__(Frame)
@@ -42,6 +63,8 @@ class Frame:
         copy.regs = dict(self.regs)
         copy.ret_dst = self.ret_dst
         copy.allocas = list(self.allocas)
+        copy.code = self.code
+        copy.holders = 1
         return copy
 
     @property
@@ -58,11 +81,17 @@ EXITED = "exited"
 
 
 class ThreadState:
-    """A simulated POSIX thread."""
+    """A simulated POSIX thread.
+
+    ``holders`` counts the states sharing this thread object; a state only
+    mutates a thread it holds alone (:meth:`ExecutionState.own_thread`).
+    A thread held alone always holds its top frame alone too: cloning a
+    thread clones the top frame and shares only the frames below it.
+    """
 
     __slots__ = (
         "tid", "frames", "status", "blocked_on", "reacquire_mutex",
-        "instr_count", "entry_function", "replaying",
+        "instr_count", "entry_function", "replaying", "holders",
     )
 
     def __init__(self, tid: int, entry_function: str) -> None:
@@ -81,22 +110,41 @@ class ThreadState:
         # accounting counts the instruction once, not per retry, keeping
         # instruction counts consistent between serial and sharded runs.
         self.replaying = False
+        self.holders = 1
 
     def clone(self) -> "ThreadState":
+        """A private copy: a fresh top frame over the shared frames below."""
         copy = ThreadState.__new__(ThreadState)
         copy.tid = self.tid
-        copy.frames = [f.clone() for f in self.frames]
+        frames = self.frames
+        if frames:
+            for frame in frames[:-1]:
+                frame.holders += 1
+            copy.frames = frames[:-1]
+            copy.frames.append(frames[-1].clone())
+        else:
+            copy.frames = []
         copy.status = self.status
         copy.blocked_on = self.blocked_on
         copy.reacquire_mutex = self.reacquire_mutex
         copy.instr_count = self.instr_count
         copy.entry_function = self.entry_function
         copy.replaying = self.replaying
+        copy.holders = 1
         return copy
 
     @property
     def top(self) -> Frame:
         return self.frames[-1]
+
+    def own_top(self) -> Frame:
+        """The top frame, cloned first if another thread shares it (the
+        thread itself must already be held alone)."""
+        frame = self.frames[-1]
+        if frame.holders > 1:
+            frame.holders -= 1
+            frame = self.frames[-1] = frame.clone()
+        return frame
 
     @property
     def pc(self) -> InstrRef:
@@ -159,7 +207,8 @@ class EnvState:
     symbolic I/O stays consistent').  Reading the same env var twice returns
     the same buffer."""
 
-    __slots__ = ("stdin_vars", "env_buffers", "arg_buffers", "argc_var", "buffers")
+    __slots__ = ("stdin_vars", "env_buffers", "arg_buffers", "argc_var",
+                 "buffers", "holders")
 
     def __init__(self) -> None:
         self.stdin_vars: list[Var] = []
@@ -167,14 +216,42 @@ class EnvState:
         self.arg_buffers: dict[int, Pointer] = {}
         self.argc_var: Optional[Atom] = None
         self.buffers: dict[str, Pointer] = {}
+        self.holders = 1  # states sharing this environment
 
     def clone(self) -> "EnvState":
         copy = EnvState.__new__(EnvState)
+        copy.holders = 1
         copy.stdin_vars = list(self.stdin_vars)
         copy.env_buffers = dict(self.env_buffers)
         copy.arg_buffers = dict(self.arg_buffers)
         copy.argc_var = self.argc_var
         copy.buffers = dict(self.buffers)
+        return copy
+
+
+class ConstraintIndex:
+    """A path condition plus its lookup structures, shared between forks.
+
+    ``var_index`` maps a variable name to the constraints mentioning it
+    (Klee's independent-constraint optimization at the state level); its
+    values are tuples, so a shallow copy of the map is a full copy.
+    ``holders`` counts the states sharing this index.
+    """
+
+    __slots__ = ("constraints", "uids", "var_index", "holders")
+
+    def __init__(self) -> None:
+        self.constraints: list[Expr] = []
+        self.uids: set[int] = set()
+        self.var_index: dict[str, tuple[Expr, ...]] = {}
+        self.holders = 1
+
+    def copy(self) -> "ConstraintIndex":
+        copy = ConstraintIndex.__new__(ConstraintIndex)
+        copy.constraints = list(self.constraints)
+        copy.uids = set(self.uids)
+        copy.var_index = dict(self.var_index)
+        copy.holders = 1
         return copy
 
 
@@ -186,11 +263,11 @@ class ExecutionState:
 
     __slots__ = (
         "sid", "parent_sid", "address_space", "globals", "threads",
-        "current_tid", "next_tid", "next_obj", "constraints",
-        "constraint_uids", "var_index", "mutexes",
-        "condvars", "env", "input_events", "output", "sync_log", "segments",
+        "current_tid", "next_tid", "next_obj", "index", "mutexes",
+        "condvars", "_env", "input_events", "output", "sync_log", "segments",
         "segment_instrs", "steps", "forks", "status", "exit_code", "bug",
         "snapshots", "schedule_distance", "preemptions", "meta", "last_model",
+        "goal_code",
     )
 
     def __init__(self) -> None:
@@ -202,14 +279,11 @@ class ExecutionState:
         self.current_tid = 0
         self.next_tid = 1
         self.next_obj = 1
-        self.constraints: list[Expr] = []
-        self.constraint_uids: set[int] = set()
-        # var name -> constraints mentioning it, for sliced solver queries
-        # (Klee's independent-constraint optimization at the state level).
-        self.var_index: dict[str, list[Expr]] = {}
+        self.index = ConstraintIndex()
         self.mutexes: dict[AddrKey, MutexRec] = {}
         self.condvars: dict[AddrKey, list[int]] = {}
-        self.env = EnvState()
+        self._env = EnvState()
+        # Append-only logs: replaced on append, never mutated in place.
         self.input_events: list[InputEvent] = []
         self.output: list[str] = []
         self.sync_log: list[SyncEvent] = []
@@ -231,6 +305,9 @@ class ExecutionState:
         # "counterexample" reuse at the state level).  Advisory only -- a
         # stale model just misses and falls back to the solver.
         self.last_model: Optional[dict[str, int]] = None
+        # The decoded block at which intermediate goals were last checked
+        # for this state's running thread (see Executor.step).
+        self.goal_code: Optional[tuple] = None
 
     # -- thread accessors ------------------------------------------------------
 
@@ -249,6 +326,32 @@ class ExecutionState:
     @property
     def terminated(self) -> bool:
         return self.status != "running"
+
+    @property
+    def constraints(self) -> list[Expr]:
+        """The path condition, in the order constraints were added."""
+        return self.index.constraints
+
+    @property
+    def env(self) -> EnvState:
+        """The symbolic environment, cloned first if a fork shares it."""
+        env = self._env
+        if env.holders > 1:
+            env.holders -= 1
+            env = self._env = env.clone()
+        return env
+
+    @env.setter
+    def env(self, env: EnvState) -> None:
+        self._env = env
+
+    def own_thread(self, tid: int) -> ThreadState:
+        """Thread ``tid``, cloned first if another state shares it."""
+        thread = self.threads[tid]
+        if thread.holders > 1:
+            thread.holders -= 1
+            thread = self.threads[tid] = thread.clone()
+        return thread
 
     def runnable_tids(self) -> list[int]:
         return [t.tid for t in self.threads.values() if t.status == RUNNABLE]
@@ -269,11 +372,6 @@ class ExecutionState:
 
     # -- scheduling bookkeeping ------------------------------------------------
 
-    def note_instruction(self) -> None:
-        self.steps += 1
-        self.segment_instrs += 1
-        self.thread.instr_count += 1
-
     def uncount_instruction(self) -> None:
         """Roll back the current instruction's accounting.
 
@@ -286,14 +384,15 @@ class ExecutionState:
         assert self.segment_instrs > 0
         self.steps -= 1
         self.segment_instrs -= 1
-        self.thread.instr_count -= 1
+        self.own_thread(self.current_tid).instr_count -= 1
 
     def switch_to(self, tid: int) -> None:
         """Context-switch the running thread, closing the current segment."""
         if tid == self.current_tid:
             return
         if self.segment_instrs:
-            self.segments.append(Segment(self.current_tid, self.segment_instrs))
+            self.segments = [*self.segments, Segment(self.current_tid,
+                                                     self.segment_instrs)]
             self.segment_instrs = 0
         self.preemptions += 1
         self.current_tid = tid
@@ -306,33 +405,50 @@ class ExecutionState:
         return result
 
     def log_sync(self, op: str, addr: Optional[AddrKey], ref: InstrRef) -> None:
-        self.sync_log.append(
-            SyncEvent(len(self.sync_log), self.current_tid, op, addr, ref)
-        )
+        log = self.sync_log
+        self.sync_log = [*log, SyncEvent(len(log), self.current_tid, op, addr, ref)]
+
+    def log_input(self, event: InputEvent) -> None:
+        self.input_events = [*self.input_events, event]
+
+    def log_output(self, text: str) -> None:
+        self.output = [*self.output, text]
 
     # -- forking ------------------------------------------------------------
 
     def fork(self) -> "ExecutionState":
-        """Fork a child state sharing memory copy-on-write."""
+        """Fork a child state; O(1) in the path length (see the module
+        docstring for the sharing rules).
+
+        The parent keeps sole ownership of its running thread and that
+        thread's top frame, so a handler that forks mid-instruction may go
+        on mutating the frame it holds; the child gets its own copies.
+        """
         child = ExecutionState.__new__(ExecutionState)
         child.sid = next(_state_ids)
         child.parent_sid = self.sid
         child.address_space = self.address_space.fork()
         child.globals = self.globals  # immutable after setup
-        child.threads = {tid: t.clone() for tid, t in self.threads.items()}
+        threads = dict(self.threads)
+        for tid, thread in threads.items():
+            if tid == self.current_tid:
+                threads[tid] = thread.clone()
+            else:
+                thread.holders += 1
+        child.threads = threads
         child.current_tid = self.current_tid
         child.next_tid = self.next_tid
         child.next_obj = self.next_obj
-        child.constraints = list(self.constraints)
-        child.constraint_uids = set(self.constraint_uids)
-        child.var_index = {name: list(c) for name, c in self.var_index.items()}
+        child.index = self.index
+        self.index.holders += 1
         child.mutexes = {k: m.clone() for k, m in self.mutexes.items()}
         child.condvars = {k: list(v) for k, v in self.condvars.items()}
-        child.env = self.env.clone()
-        child.input_events = list(self.input_events)
-        child.output = list(self.output)
-        child.sync_log = list(self.sync_log)
-        child.segments = list(self.segments)
+        child._env = self._env
+        self._env.holders += 1
+        child.input_events = self.input_events
+        child.output = self.output
+        child.sync_log = self.sync_log
+        child.segments = self.segments
         child.segment_instrs = self.segment_instrs
         child.steps = self.steps
         child.forks = self.forks + 1
@@ -345,17 +461,23 @@ class ExecutionState:
         child.preemptions = self.preemptions
         child.meta = dict(self.meta)
         child.last_model = dict(self.last_model) if self.last_model else None
+        child.goal_code = self.goal_code
         return child
 
     def add_constraint(self, constraint: Atom) -> None:
         if not isinstance(constraint, Expr):
             return
-        if constraint.uid in self.constraint_uids:
+        index = self.index
+        if constraint.uid in index.uids:
             return
-        self.constraint_uids.add(constraint.uid)
-        self.constraints.append(constraint)
+        if index.holders > 1:
+            index.holders -= 1
+            index = self.index = index.copy()
+        index.uids.add(constraint.uid)
+        index.constraints.append(constraint)
+        var_index = index.var_index
         for var in constraint.variables():
-            self.var_index.setdefault(var.name, []).append(constraint)
+            var_index[var.name] = var_index.get(var.name, ()) + (constraint,)
 
     def related_constraints(self, atom: Atom) -> list[Expr]:
         """The constraints transitively connected to ``atom`` through shared
@@ -366,13 +488,14 @@ class ExecutionState:
         seen_vars: set[str] = set()
         seen_constraints: set[int] = set()
         related: list[Expr] = []
+        var_index = self.index.var_index
         worklist = [v.name for v in atom.variables()]
         while worklist:
             name = worklist.pop()
             if name in seen_vars:
                 continue
             seen_vars.add(name)
-            for constraint in self.var_index.get(name, ()):
+            for constraint in var_index.get(name, ()):
                 if constraint.uid in seen_constraints:
                     continue
                 seen_constraints.add(constraint.uid)

@@ -440,6 +440,27 @@ class TestRejection:
         with pytest.raises(FrontendError, match="nope"):
             compile_python_source("def main():\n    return nope\n", "t")
 
+    def test_out_of_range_integer_literal_rejected(self):
+        # CPython gives 10 here; an IR constant would wrap 10**10 to
+        # 1410065408 and compute 1.
+        source = "def main():\n    return 10000000000 // 1000000000\n"
+        assert run_cpython(source) == 10
+        with pytest.raises(PythonCompileError, match="32 bits") as info:
+            compile_python_source(source, "t")
+        assert info.value.line == 2
+
+    @pytest.mark.parametrize("literal", ["2147483648", "-2147483649",
+                                         "[0, 4294967296]"])
+    def test_out_of_range_literals_rejected_everywhere(self, literal):
+        for source in (f"def main():\n    x = {literal}\n    return 0\n",
+                       f"X = {literal}\ndef main():\n    return 0\n"):
+            with pytest.raises(PythonCompileError, match="32 bits"):
+                compile_python_source(source, "t")
+
+    def test_int32_boundary_literals_compile(self):
+        source = "def main():\n    return -2147483648 + 2147483647\n"
+        assert run_ir(source).exit_code == run_cpython(source) == -1
+
     def test_errors_are_frontend_errors(self):
         # The CLI catches FrontendError; both concrete types must be
         # subclasses or `repro synth prog.py` would traceback on bad input.

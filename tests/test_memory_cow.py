@@ -89,6 +89,37 @@ class TestForkIsolation:
         c.write(1, 0, 3)
         assert (a.read(1, 0), b.read(1, 0), c.read(1, 0)) == (1, 2, 3)
 
+    def test_one_clone_per_fork_and_object(self, monkeypatch):
+        """Parent forks, parent writes, child writes: only the first write
+        clones; the child, by then the original's sole holder, writes in
+        place."""
+        clones = []
+        original_clone = MemObject.clone
+
+        def counting_clone(obj, *args, **kwargs):
+            clones.append(obj.obj_id)
+            return original_clone(obj, *args, **kwargs)
+
+        monkeypatch.setattr(MemObject, "clone", counting_clone)
+        parent = space_with_objects([4])
+        original = parent.objects[1]
+        child = parent.fork()
+        parent.write(1, 0, 10)
+        child.write(1, 0, 20)
+        assert clones == [1]
+        assert child.objects[1] is original
+        assert (parent.read(1, 0), child.read(1, 0)) == (10, 20)
+
+    def test_free_of_shared_object_copies_no_cells(self):
+        parent = space_with_objects([4])
+        child = parent.fork()
+        child.free(1, 0)
+        parent.write(1, 0, 5)  # the parent still shares: it clones first
+        assert parent.objects[1].cells is not child.objects[1].cells
+        assert child.objects[1].cells == [0, 0, 0, 0]
+        with pytest.raises(UseAfterFree):
+            child.read(1, 0)
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.lists(
