@@ -52,13 +52,13 @@ from .state import (
     AddrKey,
     ExecutionState,
     Frame,
+    MutexRec,
     ThreadState,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..analysis.absint import ModuleFacts
     from ..analysis.wp import NecessaryConditions
-    from .state import MutexRec
 
 Value = Union[int, Expr, Pointer, FnPtr]
 
@@ -1189,7 +1189,9 @@ class Executor:
         instr = entry[1]
         key = self._sync_key(state, _val(state, frame.regs, entry[2]))
         ref = InstrRef(frame.function, frame.block, frame.index)
-        rec = state.mutexes.setdefault(key, _fresh_mutex())
+        rec = state.mutexes.get(key)
+        if rec is None:
+            rec = state.mutexes[key] = MutexRec()
         if rec.owner is None:
             forks = self.policy.fork_before_acquire(self, state, key, instr, ref)
             self.stats.sched_forks += len(forks)
@@ -1247,7 +1249,9 @@ class Executor:
 
         if thread.reacquire_mutex is not None:
             # Phase 2: signaled; re-acquire the mutex, then the wait returns.
-            rec = state.mutexes.setdefault(mutex_key, _fresh_mutex())
+            rec = state.mutexes.get(mutex_key)
+            if rec is None:
+                rec = state.mutexes[mutex_key] = MutexRec()
             if rec.owner is None:
                 rec.owner = thread.tid
                 if thread.tid in rec.waiters:
@@ -1438,12 +1442,6 @@ class Executor:
         return "".join(chars)
 
 
-def _fresh_mutex() -> "MutexRec":
-    from .state import MutexRec
-
-    return MutexRec()
-
-
 def _memory_bug_kind(err: MemoryError_) -> BugKind:
     if isinstance(err, UseAfterFree):
         return BugKind.USE_AFTER_FREE
@@ -1508,13 +1506,20 @@ class _Late:
 
 
 class _GlobalOperand(_Late):
-    __slots__ = ("name",)
+    # Remembers the pointer for the last globals map it was read against:
+    # every state of one run shares that map (see ExecutionState.fork).
+    __slots__ = ("name", "_cached")
 
     def __init__(self, name: str) -> None:
         self.name = name
+        self._cached: tuple[Optional[dict[str, int]], Pointer] = (None, Pointer(0))
 
     def resolve(self, state: ExecutionState) -> Value:
-        return Pointer(state.globals[self.name], 0)
+        cached = self._cached
+        if cached[0] is not state.globals:
+            cached = self._cached = (state.globals,
+                                     Pointer(state.globals[self.name], 0))
+        return cached[1]
 
 
 class _HoleOperand(_Late):

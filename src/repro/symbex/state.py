@@ -5,25 +5,25 @@ An execution state is "a program counter, a stack, and an address space"
 set of simulated threads sharing the address space, one of which runs at a
 time.  States fork at symbolic branches and at scheduling decisions.
 
-Forking is O(1) in the length of the path.  Nothing is copied eagerly
-except the running thread's top frame (its registers) for the child; every
-other structure is shared under one of two rules:
-
-* *append-only logs* (``sync_log``, ``segments``, ``output``,
-  ``input_events``) are never mutated in place -- an append replaces the
-  list -- so both sides of a fork share them freely;
-* *holder-counted objects* (threads, frames, the constraint index, the
-  environment, and memory objects) carry a count of the states or threads
-  referencing them.  A writer that finds the count above one clones the
-  object for itself and decrements the original's count, so after a fork
-  exactly one side pays a clone and the other writes in place.
+Forking copies nothing that grows with the path: no log, no path
+condition, no frame stack.  What a fork still copies is the running
+thread's top frame (its registers) for the child, the address-space map
+(one entry per live memory object), and the small per-state maps (mutexes,
+condition variables, snapshots, meta, the model witness).  Everything else
+is shared by holder counting: threads, frames, the constraint index, the
+environment, memory objects and the append-only logs (``sync_log``,
+``segments``, ``output``, ``input_events``) carry a count of the states
+(or, for frames, threads) referencing them.  A writer that finds the
+count above one clones the object for itself and decrements the
+original's count, so after a fork exactly one side pays a clone and the
+other writes in place.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Iterable, Optional
 
 from ..ir import InstrRef
 from ..solver.expr import Atom, Expr, Var
@@ -229,6 +229,31 @@ class EnvState:
         return copy
 
 
+class SharedLog(list):
+    """An append-only log that forked states share; ``holders`` counts
+    them (see :meth:`ExecutionState._append`)."""
+
+    __slots__ = ("holders",)
+
+    def __init__(self, items: Iterable = ()) -> None:
+        super().__init__(items)
+        self.holders = 1
+
+
+class _LogField:
+    """A state attribute holding a :class:`SharedLog`.  Assigning any list
+    stores an unshared copy (snapshot decoding assigns plain lists)."""
+
+    def __init__(self, slot: str) -> None:
+        self.slot = slot
+
+    def __get__(self, state: Optional["ExecutionState"], owner: type) -> Any:
+        return self if state is None else getattr(state, self.slot)
+
+    def __set__(self, state: "ExecutionState", items: Iterable) -> None:
+        setattr(state, self.slot, SharedLog(items))
+
+
 class ConstraintIndex:
     """A path condition plus its lookup structures, shared between forks.
 
@@ -264,7 +289,8 @@ class ExecutionState:
     __slots__ = (
         "sid", "parent_sid", "address_space", "globals", "threads",
         "current_tid", "next_tid", "next_obj", "index", "mutexes",
-        "condvars", "_env", "input_events", "output", "sync_log", "segments",
+        "condvars", "_env", "_input_events", "_output", "_sync_log",
+        "_segments",
         "segment_instrs", "steps", "forks", "status", "exit_code", "bug",
         "snapshots", "schedule_distance", "preemptions", "meta", "last_model",
         "goal_code",
@@ -283,11 +309,10 @@ class ExecutionState:
         self.mutexes: dict[AddrKey, MutexRec] = {}
         self.condvars: dict[AddrKey, list[int]] = {}
         self._env = EnvState()
-        # Append-only logs: replaced on append, never mutated in place.
-        self.input_events: list[InputEvent] = []
-        self.output: list[str] = []
-        self.sync_log: list[SyncEvent] = []
-        self.segments: list[Segment] = []
+        self._input_events = SharedLog()
+        self._output = SharedLog()
+        self._sync_log = SharedLog()
+        self._segments = SharedLog()
         self.segment_instrs = 0
         self.steps = 0
         self.forks = 0
@@ -308,6 +333,12 @@ class ExecutionState:
         # The decoded block at which intermediate goals were last checked
         # for this state's running thread (see Executor.step).
         self.goal_code: Optional[tuple] = None
+
+    # Append-only logs, shared between forks (appends go through _append).
+    input_events: list[InputEvent] = _LogField("_input_events")  # type: ignore[assignment]
+    output: list[str] = _LogField("_output")  # type: ignore[assignment]
+    sync_log: list[SyncEvent] = _LogField("_sync_log")  # type: ignore[assignment]
+    segments: list[Segment] = _LogField("_segments")  # type: ignore[assignment]
 
     # -- thread accessors ------------------------------------------------------
 
@@ -391,8 +422,8 @@ class ExecutionState:
         if tid == self.current_tid:
             return
         if self.segment_instrs:
-            self.segments = [*self.segments, Segment(self.current_tid,
-                                                     self.segment_instrs)]
+            self._append("_segments", Segment(self.current_tid,
+                                              self.segment_instrs))
             self.segment_instrs = 0
         self.preemptions += 1
         self.current_tid = tid
@@ -405,20 +436,29 @@ class ExecutionState:
         return result
 
     def log_sync(self, op: str, addr: Optional[AddrKey], ref: InstrRef) -> None:
-        log = self.sync_log
-        self.sync_log = [*log, SyncEvent(len(log), self.current_tid, op, addr, ref)]
+        self._append("_sync_log", SyncEvent(len(self._sync_log),
+                                            self.current_tid, op, addr, ref))
 
     def log_input(self, event: InputEvent) -> None:
-        self.input_events = [*self.input_events, event]
+        self._append("_input_events", event)
 
     def log_output(self, text: str) -> None:
-        self.output = [*self.output, text]
+        self._append("_output", text)
+
+    def _append(self, slot: str, item: object) -> None:
+        """Append to the log in ``slot``, cloning it first if shared."""
+        log = getattr(self, slot)
+        if log.holders > 1:
+            log.holders -= 1
+            log = SharedLog(log)
+            setattr(self, slot, log)
+        log.append(item)
 
     # -- forking ------------------------------------------------------------
 
     def fork(self) -> "ExecutionState":
-        """Fork a child state; O(1) in the path length (see the module
-        docstring for the sharing rules).
+        """Fork a child state (see the module docstring for what is shared
+        and what is copied).
 
         The parent keeps sole ownership of its running thread and that
         thread's top frame, so a handler that forks mid-instruction may go
@@ -445,10 +485,13 @@ class ExecutionState:
         child.condvars = {k: list(v) for k, v in self.condvars.items()}
         child._env = self._env
         self._env.holders += 1
-        child.input_events = self.input_events
-        child.output = self.output
-        child.sync_log = self.sync_log
-        child.segments = self.segments
+        for log in (self._input_events, self._output, self._sync_log,
+                    self._segments):
+            log.holders += 1
+        child._input_events = self._input_events
+        child._output = self._output
+        child._sync_log = self._sync_log
+        child._segments = self._segments
         child.segment_instrs = self.segment_instrs
         child.steps = self.steps
         child.forks = self.forks + 1

@@ -43,7 +43,7 @@ def service():
 
 @pytest.fixture(scope="module")
 def hard():
-    workload = hard_workload(4)
+    workload = hard_workload(6)
     return workload
 
 
