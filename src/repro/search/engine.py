@@ -295,7 +295,7 @@ def explore_frontier(
     # instruction executions: ``instructions - replayed`` (replay retries
     # excluded).
     executor.on_block_entry = searcher.on_block_entry
-    step = executor.step
+    run = executor.run
     pick = searcher.pick
     exec_stats = executor.stats
     monotonic = time.monotonic
@@ -340,11 +340,7 @@ def explore_frontier(
             picked_fn = (picked_thread.frames[-1].function
                          if picked_thread is not None and picked_thread.frames
                          else "")
-        successors = [state]
-        for _ in range(batch_size):
-            successors = step(state)
-            if len(successors) != 1 or successors[0].status != "running":
-                break
+        successors = run(state, batch_size)
         ran = exec_stats.instructions - exec_stats.replayed - batch_base
         stats.instructions += ran
         if recording and flight is not None:

@@ -212,59 +212,81 @@ class Executor:
 
         Returns every successor state, including terminated ones (bug/exit);
         callers must check ``state.status``.
+        """
+        return self.run(state, 1)
 
-        The instruction comes from the running frame's decoded block
+    def run(self, state: ExecutionState, limit: int) -> list[ExecutionState]:
+        """Step ``state`` up to ``limit`` times, stopping early when a step
+        leaves anything but ``[state]`` still running (a fork or a
+        termination); returns the last step's successors.
+
+        Each instruction comes from the running frame's decoded block
         (``frame.code``, see :func:`_decode_function`): one index, then a
         call to the entry's handler with the state, the running thread and
-        its top frame, all of which the state holds alone.
+        its top frame, all of which the state holds alone.  While the same
+        thread runs on, the thread lookup is not repeated.
         """
-        if state.status != "running":
-            return [state]
-        tid = state.current_tid
-        thread = state.threads.get(tid)
-        if thread is None or thread.status != RUNNABLE:
-            self._reschedule(state)
-            return self._settle([state])
-        if state.steps >= self.config.max_steps_per_state:
-            state.status = "infeasible"
-            state.meta["killed"] = "step-limit"
-            return [state]
-
-        if thread.holders > 1:
-            thread = state.own_thread(tid)
-        frame = thread.frames[-1]
-        code = frame.code
-        if code is None:
-            code = self._block_code(frame)
-        entry = code[frame.index]
-        state.steps += 1
-        state.segment_instrs += 1
-        thread.instr_count += 1
+        successors = [state]
+        max_steps = self.config.max_steps_per_state
         stats = self.stats
-        stats.instructions += 1
-        if thread.replaying:
-            # Woken after blocking here: this is a retry of an instruction
-            # that was already charged when the thread first attempted it.
-            thread.replaying = False
-            stats.replayed += 1
-        try:
-            successors = entry[0](self, state, thread, frame, entry)
-        except _ExecError as err:
-            self._mark_bug(state, err.kind, entry[1], err.message)
-            return [state]
-        except MemoryError_ as err:
-            self._mark_bug(state, _memory_bug_kind(err), entry[1], str(err))
-            return [state]
+        hook = self.on_block_entry
+        thread: Optional[ThreadState] = None  # running, runnable, held alone
+        tid = 0
+        for _ in range(limit):
+            if thread is None:
+                if state.status != "running":
+                    return [state]
+                tid = state.current_tid
+                thread = state.threads.get(tid)
+                if thread is None or thread.status != RUNNABLE:
+                    thread = None
+                    self._reschedule(state)
+                    successors = self._settle([state])
+                    if state.status != "running":
+                        return successors
+                    continue
+                if thread.holders > 1:
+                    thread = state.own_thread(tid)
+            if state.steps >= max_steps:
+                state.status = "infeasible"
+                state.meta["killed"] = "step-limit"
+                return [state]
 
-        if (len(successors) == 1 and state.status == "running"
-                and state.current_tid == tid and thread.status == RUNNABLE):
-            # The common case: the same thread runs on.  Intermediate goals
-            # only need a look when its block changed.
-            hook = self.on_block_entry
-            if hook is not None and thread.frames[-1].code is not state.goal_code:
-                self._enter_block(state, thread, hook)
-            return successors
-        return self._settle(successors)
+            frame = thread.frames[-1]
+            code = frame.code
+            if code is None:
+                code = self._block_code(frame)
+            entry = code[frame.index]
+            state.steps += 1
+            state.segment_instrs += 1
+            thread.instr_count += 1
+            stats.instructions += 1
+            if thread.replaying:
+                # Woken after blocking here: a retry of an instruction that
+                # was already charged when the thread first attempted it.
+                thread.replaying = False
+                stats.replayed += 1
+            try:
+                successors = entry[0](self, state, thread, frame, entry)
+            except _ExecError as err:
+                self._mark_bug(state, err.kind, entry[1], err.message)
+                return [state]
+            except MemoryError_ as err:
+                self._mark_bug(state, _memory_bug_kind(err), entry[1], str(err))
+                return [state]
+
+            if (len(successors) == 1 and state.status == "running"
+                    and state.current_tid == tid and thread.status == RUNNABLE):
+                # The common case: the same thread runs on.  Intermediate
+                # goals only need a look when its block changed.
+                if hook is not None and thread.frames[-1].code is not state.goal_code:
+                    self._enter_block(state, thread, hook)
+                continue
+            thread = None
+            successors = self._settle(successors)
+            if len(successors) != 1 or state.status != "running":
+                return successors
+        return successors
 
     def _settle(self, successors: list[ExecutionState]) -> list[ExecutionState]:
         """Reschedule successors whose running thread cannot go on, and note
