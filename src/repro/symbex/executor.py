@@ -1593,60 +1593,59 @@ def _dst(value: Optional[ir.Value]) -> Optional[str]:
 
 def _decode(instr: ir.Instr, blocks: dict[str, tuple]) -> tuple:
     op = _operand
-    cls = type(instr)
-    if cls is ir.Assign:
+    if isinstance(instr, ir.Assign):
         return (Executor._exec_assign, instr, _dst(instr.dst), op(instr.src))
-    if cls is ir.BinOp:
+    if isinstance(instr, ir.BinOp):
         handler = (Executor._exec_division if instr.op in ("/", "%")
                    else Executor._exec_binop)
         return (handler, instr, _dst(instr.dst), instr.op,
                 op(instr.lhs), op(instr.rhs))
-    if cls is ir.UnOp:
+    if isinstance(instr, ir.UnOp):
         return (Executor._exec_unop, instr, _dst(instr.dst), instr.op,
                 op(instr.value))
-    if cls is ir.Alloc:
+    if isinstance(instr, ir.Alloc):
         return (Executor._exec_alloc, instr, _dst(instr.dst), op(instr.size),
                 instr.heap, instr.name)
-    if cls is ir.Free:
+    if isinstance(instr, ir.Free):
         return (Executor._exec_free, instr, op(instr.ptr))
-    if cls is ir.Load:
+    if isinstance(instr, ir.Load):
         return (Executor._exec_load, instr, _dst(instr.dst), op(instr.addr))
-    if cls is ir.Store:
+    if isinstance(instr, ir.Store):
         return (Executor._exec_store, instr, op(instr.addr), op(instr.value))
-    if cls is ir.Gep:
+    if isinstance(instr, ir.Gep):
         return (Executor._exec_gep, instr, _dst(instr.dst), op(instr.base),
                 op(instr.offset))
-    if cls is ir.Call:
+    if isinstance(instr, ir.Call):
         dst = instr.dst.name if isinstance(instr.dst, ir.Reg) else None
         return (Executor._exec_call, instr, dst, op(instr.callee),
                 tuple(op(a) for a in instr.args))
-    if cls is ir.Ret:
+    if isinstance(instr, ir.Ret):
         return (Executor._exec_ret, instr,
                 None if instr.value is None else op(instr.value))
-    if cls is ir.Br:
+    if isinstance(instr, ir.Br):
         return (Executor._exec_br, instr, instr.target, blocks)
-    if cls is ir.CondBr:
+    if isinstance(instr, ir.CondBr):
         return (Executor._exec_condbr, instr, op(instr.cond),
                 instr.then_target, instr.else_target, blocks)
-    if cls is ir.Unreachable:
+    if isinstance(instr, ir.Unreachable):
         return (Executor._exec_unreachable, instr)
-    if cls is ir.Assert:
+    if isinstance(instr, ir.Assert):
         return (Executor._exec_assert, instr, op(instr.cond), instr.message)
-    if cls is ir.Intrinsic:
+    if isinstance(instr, ir.Intrinsic):
         return (Executor._exec_intrinsic, instr, _dst(instr.dst), instr.name,
                 tuple(op(a) for a in instr.args))
-    if cls is ir.MutexLock:
+    if isinstance(instr, ir.MutexLock):
         return (Executor._exec_lock, instr, op(instr.mutex))
-    if cls is ir.MutexUnlock:
+    if isinstance(instr, ir.MutexUnlock):
         return (Executor._exec_unlock, instr, op(instr.mutex))
-    if cls is ir.CondWait:
+    if isinstance(instr, ir.CondWait):
         return (Executor._exec_cond_wait, instr, op(instr.cond), op(instr.mutex))
-    if cls is ir.CondSignal:
+    if isinstance(instr, ir.CondSignal):
         return (Executor._exec_cond_signal, instr, op(instr.cond), instr.broadcast)
-    if cls is ir.ThreadCreate:
+    if isinstance(instr, ir.ThreadCreate):
         return (Executor._exec_thread_create, instr, _dst(instr.dst),
                 op(instr.func), op(instr.arg))
-    if cls is ir.ThreadJoin:
+    if isinstance(instr, ir.ThreadJoin):
         return (Executor._exec_thread_join, instr, _dst(instr.dst), op(instr.tid))
     return (_unhandled, instr)  # pragma: no cover - verifier rules this out
 

@@ -10,7 +10,7 @@ condition, no frame stack.  What a fork still copies is the running
 thread's top frame (its registers) for the child, the address-space map
 (one entry per live memory object), and the small per-state maps (mutexes,
 condition variables, snapshots, meta, the model witness).  Everything else
-is shared by holder counting: threads, frames, the constraint index, the
+is shared by holder counting: threads, frames, the path condition, the
 environment, memory objects and the append-only logs (``sync_log``,
 ``segments``, ``output``, ``input_events``) carry a count of the states
 (or, for frames, threads) referencing them.  A writer that finds the
@@ -254,13 +254,15 @@ class _LogField:
         setattr(state, self.slot, SharedLog(items))
 
 
-class ConstraintIndex:
-    """A path condition plus its lookup structures, shared between forks.
+class PathCondition:
+    """A state's path constraints, in the order added, with their lookup
+    structures; shared between forks.
 
-    ``var_index`` maps a variable name to the constraints mentioning it
-    (Klee's independent-constraint optimization at the state level); its
-    values are tuples, so a shallow copy of the map is a full copy.
-    ``holders`` counts the states sharing this index.
+    ``uids`` deduplicates constraints.  ``var_index`` maps a variable name
+    to the constraints mentioning it (Klee's independent-constraint
+    optimization at the state level); its values are tuples, so a shallow
+    copy of the map is a full copy.  ``holders`` counts the states sharing
+    this path condition.
     """
 
     __slots__ = ("constraints", "uids", "var_index", "holders")
@@ -271,8 +273,8 @@ class ConstraintIndex:
         self.var_index: dict[str, tuple[Expr, ...]] = {}
         self.holders = 1
 
-    def copy(self) -> "ConstraintIndex":
-        copy = ConstraintIndex.__new__(ConstraintIndex)
+    def copy(self) -> "PathCondition":
+        copy = PathCondition.__new__(PathCondition)
         copy.constraints = list(self.constraints)
         copy.uids = set(self.uids)
         copy.var_index = dict(self.var_index)
@@ -288,10 +290,10 @@ class ExecutionState:
 
     __slots__ = (
         "sid", "parent_sid", "address_space", "globals", "threads",
-        "current_tid", "next_tid", "next_obj", "index", "mutexes",
+        "current_tid", "next_tid", "next_obj", "path", "mutexes",
         "condvars", "_env", "_input_events", "_output", "_sync_log",
-        "_segments",
-        "segment_instrs", "steps", "forks", "status", "exit_code", "bug",
+        "_segments", "segment_instrs", "steps", "forks", "status",
+        "exit_code", "bug",
         "snapshots", "schedule_distance", "preemptions", "meta", "last_model",
         "goal_code",
     )
@@ -305,7 +307,7 @@ class ExecutionState:
         self.current_tid = 0
         self.next_tid = 1
         self.next_obj = 1
-        self.index = ConstraintIndex()
+        self.path = PathCondition()
         self.mutexes: dict[AddrKey, MutexRec] = {}
         self.condvars: dict[AddrKey, list[int]] = {}
         self._env = EnvState()
@@ -361,7 +363,7 @@ class ExecutionState:
     @property
     def constraints(self) -> list[Expr]:
         """The path condition, in the order constraints were added."""
-        return self.index.constraints
+        return self.path.constraints
 
     @property
     def env(self) -> EnvState:
@@ -479,8 +481,8 @@ class ExecutionState:
         child.current_tid = self.current_tid
         child.next_tid = self.next_tid
         child.next_obj = self.next_obj
-        child.index = self.index
-        self.index.holders += 1
+        child.path = self.path
+        self.path.holders += 1
         child.mutexes = {k: m.clone() for k, m in self.mutexes.items()}
         child.condvars = {k: list(v) for k, v in self.condvars.items()}
         child._env = self._env
@@ -510,15 +512,15 @@ class ExecutionState:
     def add_constraint(self, constraint: Atom) -> None:
         if not isinstance(constraint, Expr):
             return
-        index = self.index
-        if constraint.uid in index.uids:
+        path = self.path
+        if constraint.uid in path.uids:
             return
-        if index.holders > 1:
-            index.holders -= 1
-            index = self.index = index.copy()
-        index.uids.add(constraint.uid)
-        index.constraints.append(constraint)
-        var_index = index.var_index
+        if path.holders > 1:
+            path.holders -= 1
+            path = self.path = path.copy()
+        path.uids.add(constraint.uid)
+        path.constraints.append(constraint)
+        var_index = path.var_index
         for var in constraint.variables():
             var_index[var.name] = var_index.get(var.name, ()) + (constraint,)
 
@@ -531,7 +533,7 @@ class ExecutionState:
         seen_vars: set[str] = set()
         seen_constraints: set[int] = set()
         related: list[Expr] = []
-        var_index = self.index.var_index
+        var_index = self.path.var_index
         worklist = [v.name for v in atom.variables()]
         while worklist:
             name = worklist.pop()
