@@ -60,12 +60,6 @@ class Searcher:
     # an ``add`` uniformly; strategies without pruning leave it at 0.
     pruned: int = 0
 
-    # Strategies that track which blocks states pass through (ESD's
-    # intermediate goals) set this to ``hook(state, function, block)``; the
-    # engine hands it to the executor, which calls it whenever a live
-    # state's running thread enters a new block.
-    on_block_entry: Optional[Callable[[ExecutionState, str, str], None]] = None
-
     def add(self, state: ExecutionState) -> None:
         raise NotImplementedError
 
@@ -84,6 +78,13 @@ class Searcher:
 
     def __len__(self) -> int:
         raise NotImplementedError
+
+    def block_hook(self) -> Optional[Callable[[ExecutionState, str, str], None]]:
+        """``hook(state, function, block)`` for strategies that track which
+        blocks states pass through (ESD's intermediate goals), else None.
+        The engine hands it to the executor, which calls it whenever a live
+        state's running thread enters a new block."""
+        return None
 
     # -- frontier export (sharded exploration) --------------------------------
 
@@ -294,7 +295,7 @@ def explore_frontier(
     # Hoisted for the pick loop.  Budget accounting charges distinct
     # instruction executions: ``instructions - replayed`` (replay retries
     # excluded).
-    executor.on_block_entry = searcher.on_block_entry
+    executor.on_block_entry = searcher.block_hook()
     run = executor.run
     pick = searcher.pick
     exec_stats = executor.stats

@@ -27,6 +27,7 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 from ..analysis.distance import INF, DistanceSource
 from ..ir import InstrRef
@@ -102,7 +103,6 @@ class ProximityGuidedSearcher(Searcher):
                 self._goal_blocks.setdefault(
                     (ref.function, ref.block), []
                 ).append(index)
-        self.on_block_entry = self._enter_block if self._goal_blocks else None
 
     # -- distance ------------------------------------------------------------
 
@@ -132,6 +132,9 @@ class ProximityGuidedSearcher(Searcher):
         return priority
 
     # -- Searcher interface ------------------------------------------------------
+
+    def block_hook(self) -> Optional[Callable[[ExecutionState, str, str], None]]:
+        return self._enter_block if self._goal_blocks else None
 
     def _enter_block(self, state: ExecutionState, function: str, block: str) -> None:
         """Block-entry observation: mark intermediate goals achieved."""

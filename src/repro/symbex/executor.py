@@ -951,11 +951,14 @@ class Executor:
         return forks + [state]
 
     def _exec_br(self, state, thread, frame, entry) -> list[ExecutionState]:
-        target = entry[2]
-        frame.block = target
-        frame.index = 0
-        frame.code = entry[3][target]
+        self._jump(frame, entry[2])
         return [state]
+
+    def _jump(self, frame: Frame, label: str) -> None:
+        """Move ``frame`` to the start of block ``label``."""
+        frame.block = label
+        frame.index = 0
+        frame.code = self._function_code(frame.function)[label]
 
     # ------------------------------------------------------------------
     # Goal-directed necessary-precondition checks (see :mod:`..analysis.wp`)
@@ -1016,7 +1019,7 @@ class Executor:
         self.prune_stats.state_kills += 1
 
     def _exec_condbr(self, state, thread, frame, entry) -> list[ExecutionState]:
-        _, instr, cond, then_target, else_target, blocks = entry
+        _, instr, cond, then_target, else_target = entry
         cond = self._truth_value(_val(state, frame.regs, cond))
         if isinstance(cond, int):
             target = then_target if cond else else_target
@@ -1029,9 +1032,7 @@ class Executor:
                         self.solver.stats.wp_refuted += 1
                         self._wp_kill(state)
                         return [state]
-            frame.block = target
-            frame.index = 0
-            frame.code = blocks[target]
+            self._jump(frame, target)
             return [state]
 
         # Static pruning: the abstract interpreter proved one direction
@@ -1058,9 +1059,7 @@ class Executor:
                         else truthy(false_cond)
                     )
                     target = else_target
-                frame.block = target
-                frame.index = 0
-                frame.code = blocks[target]
+                self._jump(frame, target)
                 return [state]
 
         # Goal-directed pruning: a direction whose target block's necessary
@@ -1098,9 +1097,7 @@ class Executor:
                     false_cond if isinstance(false_cond, Expr) else truthy(false_cond)
                 )
                 target = else_target
-            frame.block = target
-            frame.index = 0
-            frame.code = blocks[target]
+            self._jump(frame, target)
             return [state]
 
         successors = self._condbr_fork(state, frame, entry, cond)
@@ -1124,7 +1121,7 @@ class Executor:
         # model leak into the second would poison it (a model satisfying
         # ``cond`` never satisfies ``!cond``), and each surviving branch
         # must keep the model matching the constraint it adds.
-        then_target, else_target, blocks = entry[3], entry[4], entry[5]
+        then_target, else_target = entry[3], entry[4]
         orig_model = state.last_model
         true_feasible = self._feasible(state, cond)
         true_model = state.last_model
@@ -1137,14 +1134,9 @@ class Executor:
             self.stats.states_created += 1
             state.last_model = true_model
             other.add_constraint(false_cond)
-            other_frame = other.threads[other.current_tid].frames[-1]
-            other_frame.block = else_target
-            other_frame.index = 0
-            other_frame.code = blocks[else_target]
+            self._jump(other.threads[other.current_tid].frames[-1], else_target)
             state.add_constraint(cond if isinstance(cond, Expr) else truthy(cond))
-            frame.block = then_target
-            frame.index = 0
-            frame.code = blocks[then_target]
+            self._jump(frame, then_target)
             return [state, other]
         if true_feasible:
             state.last_model = true_model
@@ -1156,9 +1148,7 @@ class Executor:
         else:
             state.status = "infeasible"
             return [state]
-        frame.block = target
-        frame.index = 0
-        frame.code = blocks[target]
+        self._jump(frame, target)
         return [state]
 
     def _exec_unreachable(self, state, thread, frame, entry) -> list[ExecutionState]:
@@ -1507,14 +1497,15 @@ def _format_value(value: Value) -> str:
 #   Free (ptr)                    Load (dst, addr)
 #   Store (addr, value)           Gep (dst, base, offset)
 #   Call (dst|None, callee, args) Ret (value|None)
-#   Br (target, blocks)           CondBr (cond, then, else, blocks)
+#   Br (target)                   CondBr (cond, then, else)
 #   Assert (cond, message)        Intrinsic (dst|None, name, args)
 #   MutexLock/Unlock (mutex)      CondWait (cond, mutex)
 #   CondSignal (cond, broadcast)  ThreadCreate (dst|None, func, arg)
 #   ThreadJoin (dst|None, tid)    Unreachable ()
 #
-# ``blocks`` is the function's label -> decoded block map, so a branch sets
-# the frame's next block with one lookup.
+# Branch targets stay labels, resolved through the executor's table when
+# taken: an entry referencing other blocks' tuples would make every loop a
+# reference cycle, which only the cyclic garbage collector frees.
 # ---------------------------------------------------------------------------
 
 
@@ -1591,7 +1582,7 @@ def _dst(value: Optional[ir.Value]) -> Optional[str]:
     return value.name
 
 
-def _decode(instr: ir.Instr, blocks: dict[str, tuple]) -> tuple:
+def _decode(instr: ir.Instr) -> tuple:
     op = _operand
     if isinstance(instr, ir.Assign):
         return (Executor._exec_assign, instr, _dst(instr.dst), op(instr.src))
@@ -1623,10 +1614,10 @@ def _decode(instr: ir.Instr, blocks: dict[str, tuple]) -> tuple:
         return (Executor._exec_ret, instr,
                 None if instr.value is None else op(instr.value))
     if isinstance(instr, ir.Br):
-        return (Executor._exec_br, instr, instr.target, blocks)
+        return (Executor._exec_br, instr, instr.target)
     if isinstance(instr, ir.CondBr):
         return (Executor._exec_condbr, instr, op(instr.cond),
-                instr.then_target, instr.else_target, blocks)
+                instr.then_target, instr.else_target)
     if isinstance(instr, ir.Unreachable):
         return (Executor._exec_unreachable, instr)
     if isinstance(instr, ir.Assert):
@@ -1662,5 +1653,5 @@ def _decode_function(function: ir.Function) -> dict[str, tuple]:
         instrs = list(block.instrs)
         if block.terminator is not None:
             instrs.append(block.terminator)
-        blocks[label] = tuple(_decode(instr, blocks) for instr in instrs)
+        blocks[label] = tuple(_decode(instr) for instr in instrs)
     return blocks
