@@ -110,13 +110,15 @@ class TestForkIsolation:
         assert child.objects[1] is original
         assert (parent.read(1, 0), child.read(1, 0)) == (10, 20)
 
-    def test_free_of_shared_object_copies_no_cells(self):
+    def test_free_of_shared_object_shares_cells_yet_stays_isolated(self):
         parent = space_with_objects([4])
         child = parent.fork()
         child.free(1, 0)
-        parent.write(1, 0, 5)  # the parent still shares: it clones first
+        assert child.objects[1].cells is parent.objects[1].cells
+        parent.write(1, 0, 5)  # the freed copy keeps its hold: parent clones
         assert parent.objects[1].cells is not child.objects[1].cells
         assert child.objects[1].cells == [0, 0, 0, 0]
+        assert parent.read(1, 0) == 5
         with pytest.raises(UseAfterFree):
             child.read(1, 0)
 
