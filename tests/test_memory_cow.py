@@ -174,3 +174,32 @@ class TestStateForkIsolation:
         assert fork.pc == state.pc
         executor.step(state)
         assert fork.pc != state.pc
+
+    def test_forked_states_share_no_frames_logs_or_constraints(self):
+        """Threads, frames, logs and the path condition are shared between
+        forks until written; running one side to completion must leave the
+        other exactly where it was."""
+        from repro.lang import compile_source
+        from repro.solver.expr import binop, make_var
+        from repro.symbex import ConcreteEnv, Executor, RecordedInputs
+
+        module = compile_source(
+            "int f(int a) { int b = a + 1; print_int(b); return b; }\n"
+            "int main() { int x = f(1); x = x + f(x); print_int(x); return x; }"
+        )
+        executor = Executor(module, env=ConcreteEnv(RecordedInputs()))
+        state = executor.initial_state()
+        while len(state.thread.frames) < 2:  # inside the first call to f
+            executor.step(state)
+        fork = state.fork()
+        fork.add_constraint(binop("<", make_var("iso", 0, 9), 5))
+        where = (fork.pc, [f.ref for f in fork.thread.frames])
+
+        final = executor.run_to_completion(state)
+        assert (final.exit_code, final.output) == (5, ["2", "3", "5"])
+        assert final.constraints == []
+        assert (fork.pc, [f.ref for f in fork.thread.frames]) == where
+        assert fork.output == [] and len(fork.constraints) == 1
+
+        again = executor.run_to_completion(fork)
+        assert (again.exit_code, again.output) == (5, ["2", "3", "5"])
