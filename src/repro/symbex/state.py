@@ -5,12 +5,11 @@ An execution state is "a program counter, a stack, and an address space"
 set of simulated threads sharing the address space, one of which runs at a
 time.  States fork at symbolic branches and at scheduling decisions.
 
-Forking copies nothing that grows with the path: no log, no path
-condition, no frame stack.  What a fork still copies is the running
-thread's top frame (its registers) for the child, the address-space map
-(one entry per live memory object), and the small per-state maps (mutexes,
-condition variables, snapshots, meta, the model witness).  Everything else
-is shared by holder counting: threads, frames, the path condition, the
+A fork copies no log, no path condition and no frame stack.  What it
+still copies is the running thread's top frame (its registers) for the
+child, the address-space map (one entry per live memory object), and the
+small per-state maps (mutexes, condition variables, snapshots, meta, the
+model witness).  Everything else is shared by holder counting: threads, frames, the path condition, the
 environment, memory objects and the append-only logs (``sync_log``,
 ``segments``, ``output``, ``input_events``) carry a count of the states
 (or, for frames, threads) referencing them.  A writer that finds the
