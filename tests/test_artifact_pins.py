@@ -1,6 +1,6 @@
 """Cross-commit artifact pins.
 
-Every registered workload (and two small BPF deadlocks) is synthesized
+Every registered workload (and three BPF deadlocks) is synthesized
 serially in a cold session, and the result is compared with numbers
 recorded in ``tests/assets/artifact_pins.json``: the sha256 of the
 execution file's canonical bytes, the search's instruction and state
@@ -30,12 +30,17 @@ from repro.workloads import ALL, get
 
 PINS_PATH = Path(__file__).parent / "assets" / "artifact_pins.json"
 
-# Small BPF deadlocks (two threads, two locks), pinned by generator seed.
+# Small BPF deadlocks (two threads, two locks), pinned by generator seed,
+# plus one of Fig. 3's largest size: its blocks hold many call sites, which
+# is what the goal-distance lookup's per-block rows are built from.
 BPF_PINS = {
     f"bpf-{seed}": BPFParams(num_inputs=8, num_branches=16,
                              num_input_branches=16, seed=seed)
     for seed in (7, 11)
 }
+BPF_PINS["bpf-2048-12"] = BPFParams(
+    num_inputs=128, num_branches=2048, num_input_branches=2048,
+    num_threads=2, num_locks=2, seed=12)
 
 
 def _workload(name: str):
