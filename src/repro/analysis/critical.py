@@ -23,7 +23,7 @@ from ..solver import Solver
 from ..solver.expr import Atom, Var, binop, negate, truthy
 from .absint import analyze_module, decide_pinned
 from .cfg import CFG
-from .reachdefs import Definition, ReachingDefs, VarId
+from .reachdefs import Definition, ReachingDefs, VarId, collect_global_definitions
 from .reconstruct import reconstruct_condition
 
 
@@ -97,6 +97,7 @@ def find_intermediate_goals(
     max_depth: int = 3,
     *,
     static_eval: bool = False,
+    global_defs: dict[str, set[Definition]] | None = None,
 ) -> list[IntermediateGoal]:
     """Intermediate goals for ``goal``, derived *recursively*.
 
@@ -118,8 +119,14 @@ def find_intermediate_goals(
     decision procedure only answers when its verdict is provably the
     solver's; the dead-definition filter can shrink the goal set, which is
     why callers memoize per flag value.
+
+    ``global_defs`` is :func:`collect_global_definitions` of ``module``;
+    callers deriving goals for several targets collect it once and pass it
+    in, otherwise this call collects it.
     """
     solver = solver or Solver()
+    if global_defs is None:
+        global_defs = collect_global_definitions(module)
     goals: list[IntermediateGoal] = []
     seen_targets: set[InstrRef] = {goal}
     seen_alternatives: set[tuple[InstrRef, ...]] = set()
@@ -127,7 +134,9 @@ def find_intermediate_goals(
     for _ in range(max_depth):
         next_frontier: list[InstrRef] = []
         for target in frontier:
-            for ig in _direct_intermediate_goals(module, target, solver, static_eval):
+            for ig in _direct_intermediate_goals(
+                module, target, solver, global_defs, static_eval
+            ):
                 if ig.alternatives in seen_alternatives:
                     continue
                 seen_alternatives.add(ig.alternatives)
@@ -150,6 +159,7 @@ def _direct_intermediate_goals(
     module: ir.Module,
     goal: InstrRef,
     solver: Solver,
+    global_defs: dict[str, set[Definition]],
     static_eval: bool = False,
 ) -> list[IntermediateGoal]:
     """Blocks containing reaching definitions that can satisfy each critical
@@ -187,7 +197,7 @@ def _direct_intermediate_goals(
         local_defs = reachdefs.reaching_at(edge.branch)
         for var_id, var in recon.variables.items():
             if var_id[0] == "global":
-                defs = reachdefs.global_definitions(var_id[1])
+                defs = global_defs.get(var_id[1], set())
                 initial = _global_initial(module, var_id[1])
             else:
                 defs = local_defs.get(var_id, set())

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import FrozenSet, Protocol
+from typing import FrozenSet, Optional, Protocol
 
 from .. import ir
 from ..ir import InstrRef
@@ -54,6 +54,45 @@ class DistanceSource(Protocol):
         ...
 
 
+class _StackWalk:
+    """Algorithm 1's walk over a call stack, memoized per (stack, goal).
+
+    Subclasses supply the per-frame ``instruction_distance`` and the
+    ``dist2ret`` cost of returning from a frame.
+    """
+
+    __slots__ = ("_state_cache",)
+
+    def __init__(self) -> None:
+        self._state_cache: dict[tuple, float] = {}
+
+    def instruction_distance(self, ref: InstrRef, goal: InstrRef) -> float:
+        raise NotImplementedError
+
+    def dist2ret(self, ref: InstrRef) -> float:
+        raise NotImplementedError
+
+    def state_distance(self, frames: list[InstrRef], goal: InstrRef) -> float:
+        """Algorithm 1: distance for a call stack (innermost ref first)."""
+        if not frames:
+            return INF
+        key = (tuple(frames), goal)
+        cached = self._state_cache.get(key)
+        if cached is not None:
+            return cached
+        best = self.instruction_distance(frames[0], goal)
+        acc = self.dist2ret(frames[0]) + 1
+        for resume in frames[1:]:
+            if acc == INF:
+                break
+            best = min(best, acc + self.instruction_distance(resume, goal))
+            acc += self.dist2ret(resume) + 1
+        if len(self._state_cache) >= STATE_CACHE_LIMIT:
+            self._state_cache.clear()
+        self._state_cache[key] = best
+        return best
+
+
 @dataclass(slots=True)
 class _BlockInfo:
     # suffix[i] = cost of executing instructions [i, end] of the block,
@@ -63,10 +102,11 @@ class _BlockInfo:
     calls: list[tuple[int, int, tuple[str, ...]]]
 
 
-class DistanceCalculator:
+class DistanceCalculator(_StackWalk):
     """All distance queries for one module."""
 
     def __init__(self, module: ir.Module) -> None:
+        super().__init__()
         self.module = module
         self.callgraph: CallGraph = build_call_graph(module)
         self.cfgs: dict[str, CFG] = {
@@ -76,7 +116,7 @@ class DistanceCalculator:
         self._block_info: dict[tuple[str, str], _BlockInfo] = {}
         self._ret_tables: dict[str, dict[str, float]] = {}
         self._goal_tables: dict[InstrRef, "_GoalTable"] = {}
-        self._state_cache: dict[tuple, float] = {}
+        self._sites_into: Optional[dict[str, list[tuple[tuple[str, str], float]]]] = None
 
     # ------------------------------------------------------------------
     # Per-instruction call costs
@@ -166,10 +206,19 @@ class DistanceCalculator:
         self._block_info[key] = info
         return info
 
-    def _cost_between(self, func: str, label: str, start: int, end: int) -> int:
-        """Cost of executing instruction range [start, end) of a block."""
-        suffix = self._info(func, label).suffix
-        return suffix[start] - suffix[end]
+    def _call_sites_into(self) -> dict[str, list[tuple[tuple[str, str], float]]]:
+        """callee -> [(caller block, cost from the block's start to the
+        call site)], built on the first goal table and shared by all."""
+        if self._sites_into is None:
+            index: dict[str, list[tuple[tuple[str, str], float]]] = {}
+            for key, sites in self.callgraph.sites_by_block.items():
+                suffix = self._info(*key).suffix
+                for site in sites:
+                    prefix = float(suffix[0] - suffix[site.ref.index])
+                    for target in site.targets:
+                        index.setdefault(target, []).append((key, prefix))
+            self._sites_into = index
+        return self._sites_into
 
     # ------------------------------------------------------------------
     # dist2ret
@@ -220,26 +269,6 @@ class DistanceCalculator:
         descent into callees but not returns (Algorithm 1's ``distance``)."""
         return self._goal_table(goal).from_position(ref)
 
-    def state_distance(self, frames: list[InstrRef], goal: InstrRef) -> float:
-        """Algorithm 1: distance for a call stack (innermost ref first)."""
-        if not frames:
-            return INF
-        key = (tuple(frames), goal)
-        cached = self._state_cache.get(key)
-        if cached is not None:
-            return cached
-        best = self.instruction_distance(frames[0], goal)
-        acc = self.dist2ret(frames[0]) + 1
-        for resume in frames[1:]:
-            if acc == INF:
-                break
-            best = min(best, acc + self.instruction_distance(resume, goal))
-            acc += self.dist2ret(resume) + 1
-        if len(self._state_cache) >= STATE_CACHE_LIMIT:
-            self._state_cache.clear()
-        self._state_cache[key] = best
-        return best
-
 
 class _GoalTable:
     """Per-goal distances with call-descent, computed by a global Dijkstra
@@ -251,6 +280,10 @@ class _GoalTable:
         # block_dist[(func, label)] = min cost from the *start* of the block
         # to the goal.
         self.block_dist: dict[tuple[str, str], float] = {}
+        # rows[(func, label)][i] = distance from position i of the block,
+        # built on the block's first query (see _row).
+        self.rows: dict[tuple[str, str], list[float]] = {}
+        self._unreachable: dict[int, list[float]] = {}
         self._compute()
 
     def _compute(self) -> None:
@@ -260,19 +293,16 @@ class _GoalTable:
         goal = self.goal
         # Worklist Bellman-Ford: all edge weights are positive, the graph is
         # small, and cross-function descent edges make Dijkstra's one-pass
-        # property awkward, so iterate to fixpoint.
+        # property awkward, so iterate to fixpoint (the fixpoint does not
+        # depend on the order nodes are relaxed in).
         seed_key = (goal.function, goal.block)
-        seed_cost = float(calc._cost_between(goal.function, goal.block, 0, goal.index))
-        dist[seed_key] = seed_cost
+        seed_suffix = calc._info(goal.function, goal.block).suffix
+        dist[seed_key] = float(seed_suffix[0] - seed_suffix[goal.index])
         worklist = [seed_key]
         entry_of = {
             name: (name, func.entry) for name, func in module.functions.items()
         }
-
-        # Precompute reverse edges once: which (func,label) nodes can relax
-        # when a node's distance improves.  Intra edges: predecessors.
-        # Descent edges: callers' blocks containing calls to this function
-        # relax when the function's entry distance improves.
+        sites_into = calc._call_sites_into()
         while worklist:
             key = worklist.pop()
             func, label = key
@@ -290,55 +320,69 @@ class _GoalTable:
             # Descent relaxation: if this is a function entry, every caller
             # block containing a call site gets a shortcut.
             if entry_of.get(func) == key:
-                for caller in calc.callgraph.callers.get(func, ()):
-                    for (cfunc, clabel), sites in calc.callgraph.sites_by_block.items():
-                        if cfunc != caller:
-                            continue
-                        for site in sites:
-                            if func not in site.targets:
-                                continue
-                            prefix = float(
-                                calc._cost_between(cfunc, clabel, 0, site.ref.index)
-                            )
-                            cost = prefix + 1 + base
-                            ckey = (cfunc, clabel)
-                            if cost < dist.get(ckey, INF):
-                                dist[ckey] = cost
-                                worklist.append(ckey)
+                for ckey, prefix in sites_into.get(func, ()):
+                    cost = prefix + 1 + base
+                    if cost < dist.get(ckey, INF):
+                        dist[ckey] = cost
+                        worklist.append(ckey)
 
     def from_position(self, ref: InstrRef) -> float:
+        key = (ref.function, ref.block)
+        row = self.rows.get(key)
+        if row is None:
+            row = self.rows[key] = self._row(key)
+        return row[ref.index]
+
+    def _row(self, key: tuple[str, str]) -> list[float]:
+        """Distances from every position of one block.
+
+        From position ``i`` a path either leaves the block's straight line
+        at some ``j >= i`` -- descending into a call or spawn site, or
+        reaching the goal when this is the goal's block -- or runs to the
+        end and falls into a successor.  Each leave-at-``j`` term costs
+        ``suffix[i] - suffix[j] + rest``, so with
+        ``tail_best[i] = min over j >= i of (rest_j - suffix[j])`` and
+        ``exit_best = min over successors of block_dist`` the distance is
+        ``suffix[i] + min(tail_best[i], exit_best)``.  The regrouping is
+        exact: every suffix entry and block_dist value is an integer-valued
+        float (``_info`` stores ``int(cost)``), so the sums round nowhere
+        and each distance is bit-for-bit the per-call-site minimum.
+        """
         calc = self.calc
+        func, label = key
+        functions = calc.module.functions
+        block_dist = self.block_dist
+        info = calc._info(func, label)
+        suffix = info.suffix
+        events = [INF] * len(suffix)
         goal = self.goal
-        best = INF
-        # Straight to the goal within this block.
-        if (ref.function, ref.block) == (goal.function, goal.block) and ref.index <= goal.index:
-            best = float(
-                calc._cost_between(ref.function, ref.block, ref.index, goal.index)
-            )
-        info = calc._info(ref.function, ref.block)
-        # Descend into a call later in this block.
+        if key == (goal.function, goal.block):
+            events[goal.index] = float(-suffix[goal.index])
         for index, _cost, targets in info.calls:
-            if index < ref.index:
-                continue
-            prefix = float(calc._cost_between(ref.function, ref.block, ref.index, index))
             for target in targets:
-                entry_dist = self.block_dist.get(
-                    (target, calc.module.functions[target].entry)
-                    if target in calc.module.functions else ("", ""),
-                    INF,
+                entry_dist = (
+                    block_dist.get((target, functions[target].entry), INF)
+                    if target in functions else INF
                 )
-                best = min(best, prefix + 1 + entry_dist)
-        # Fall off the end of the block into a successor.
-        block = calc.module.functions[ref.function].blocks[ref.block]
-        if block.terminator is not None:
-            tail = float(info.suffix[ref.index])
-            for succ in block.terminator.successors():
-                succ_dist = self.block_dist.get((ref.function, succ), INF)
-                best = min(best, tail + succ_dist)
-        return best
+                events[index] = min(events[index], 1 + entry_dist - suffix[index])
+        terminator = functions[func].blocks[label].terminator
+        exit_best = INF
+        if terminator is not None:
+            for succ in terminator.successors():
+                exit_best = min(exit_best, block_dist.get((func, succ), INF))
+        if min(min(events), exit_best) == INF:
+            # No position reaches the goal (most queried blocks, on large
+            # programs): share one all-INF row per length.
+            return self._unreachable.setdefault(len(suffix), [INF] * len(suffix))
+        row = [INF] * len(suffix)
+        tail_best = INF
+        for i in range(len(suffix) - 1, -1, -1):
+            tail_best = min(tail_best, events[i])
+            row[i] = suffix[i] + min(tail_best, exit_best)
+        return row
 
 
-class GoalGatedDistances:
+class GoalGatedDistances(_StackWalk):
     """A :class:`DistanceSource` that scores provably-dead positions INF.
 
     Wraps the syntactic :class:`DistanceCalculator` with a goal-directed
@@ -354,40 +398,24 @@ class GoalGatedDistances:
     same soundness argument the executor's necessary-condition check uses.
     """
 
-    __slots__ = ("base", "reach_blocks", "_state_cache")
+    __slots__ = ("base", "reach_blocks")
 
     def __init__(
         self,
         base: DistanceCalculator,
         reach_blocks: FrozenSet[tuple[str, str]],
     ) -> None:
+        super().__init__()
         self.base = base
         self.reach_blocks = reach_blocks
-        self._state_cache: dict[tuple, float] = {}
 
     def instruction_distance(self, ref: InstrRef, goal: InstrRef) -> float:
         if (ref.function, ref.block) not in self.reach_blocks:
             return INF
         return self.base.instruction_distance(ref, goal)
 
-    def state_distance(self, frames: list[InstrRef], goal: InstrRef) -> float:
-        if not frames:
-            return INF
-        key = (tuple(frames), goal)
-        cached = self._state_cache.get(key)
-        if cached is not None:
-            return cached
-        best = self.instruction_distance(frames[0], goal)
-        acc = self.base.dist2ret(frames[0]) + 1
-        for resume in frames[1:]:
-            if acc == INF:
-                break
-            best = min(best, acc + self.instruction_distance(resume, goal))
-            acc += self.base.dist2ret(resume) + 1
-        if len(self._state_cache) >= STATE_CACHE_LIMIT:
-            self._state_cache.clear()
-        self._state_cache[key] = best
-        return best
+    def dist2ret(self, ref: InstrRef) -> float:
+        return self.base.dist2ret(ref)
 
 
 def _dijkstra_to_targets(

@@ -61,8 +61,8 @@ def store_target(
 
 
 class ReachingDefs:
-    """Per-function reaching definitions for local scalars, plus the
-    flow-insensitive global sets."""
+    """Per-function reaching definitions for local scalars (the global sets
+    are module-wide: :func:`collect_global_definitions`)."""
 
     def __init__(self, module: ir.Module, func_name: str) -> None:
         self.module = module
@@ -71,7 +71,6 @@ class ReachingDefs:
         self.addr_regs = local_address_regs(self.func)
         self._block_defs: dict[str, list[Definition]] = {}
         self._in: dict[str, frozenset[Definition]] = {}
-        self._global_defs: Optional[dict[str, set[Definition]]] = None
         self._analyze()
 
     def _analyze(self) -> None:
@@ -125,16 +124,9 @@ class ReachingDefs:
             live[d.var] = {d}
         return live
 
-    # -- globals ------------------------------------------------------------
-
-    def global_definitions(self, name: str) -> set[Definition]:
-        """All stores to global ``name`` anywhere in the module."""
-        if self._global_defs is None:
-            self._global_defs = collect_global_definitions(self.module)
-        return self._global_defs.get(name, set())
-
 
 def collect_global_definitions(module: ir.Module) -> dict[str, set[Definition]]:
+    """Global name -> every store to it anywhere in the module (one pass)."""
     result: dict[str, set[Definition]] = {}
     for func in module.functions.values():
         addr_regs = local_address_regs(func)

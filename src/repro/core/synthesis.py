@@ -36,6 +36,7 @@ from ..analysis import (
     DistanceCalculator,
     DistanceSource,
     GoalGatedDistances,
+    collect_global_definitions,
     find_intermediate_goals,
 )
 from ..concurrency import ChainedPolicy
@@ -287,9 +288,13 @@ class StaticAnalysisCache:
                 return cached
             specs: list[GoalSpec] = []
             seen: set[tuple] = set()
+            # One module pass shared by every target; not kept afterwards
+            # (the specs are what the memo holds).
+            global_defs = collect_global_definitions(self.module)
             for target in goal.targets:
                 for ig in find_intermediate_goals(
-                    self.module, target, solver, static_eval=static_eval
+                    self.module, target, solver, static_eval=static_eval,
+                    global_defs=global_defs,
                 ):
                     if ig.alternatives not in seen:
                         seen.add(ig.alternatives)

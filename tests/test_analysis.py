@@ -483,3 +483,138 @@ class TestDistance:
         d_main = calc.state_distance([InstrRef("main", "entry", 0)], goal)
         d_cs = calc.state_distance([InstrRef("critical_section", "entry", 0)], goal)
         assert d_cs < d_main < INF
+
+
+def _per_site_distance(calc, goal, ref):
+    """Reference for ``instruction_distance``: the per-call-site loop that
+    scans every call site of the block on each query."""
+    table = calc._goal_table(goal)
+    info = calc._info(ref.function, ref.block)
+    best = INF
+    if (ref.function, ref.block) == (goal.function, goal.block) and ref.index <= goal.index:
+        best = float(info.suffix[ref.index] - info.suffix[goal.index])
+    for index, _cost, targets in info.calls:
+        if index < ref.index:
+            continue
+        prefix = float(info.suffix[ref.index] - info.suffix[index])
+        for target in targets:
+            entry_dist = table.block_dist.get(
+                (target, calc.module.functions[target].entry)
+                if target in calc.module.functions else ("", ""),
+                INF,
+            )
+            best = min(best, prefix + 1 + entry_dist)
+    block = calc.module.functions[ref.function].blocks[ref.block]
+    if block.terminator is not None:
+        tail = float(info.suffix[ref.index])
+        for succ in block.terminator.successors():
+            best = min(best, tail + table.block_dist.get((ref.function, succ), INF))
+    return best
+
+
+def _bpf64():
+    from repro.bpf import BPFParams, generate
+
+    return generate(BPFParams(num_inputs=8, num_branches=64,
+                              num_input_branches=64, seed=3)).workload
+
+
+def _block_equation(calc, table, key):
+    """The right-hand side of the shortest-path equation ``block_dist`` must
+    satisfy at ``key``, read straight off the CFG and the call graph."""
+    func, label = key
+    goal = table.goal
+    functions = calc.module.functions
+    suffix = calc._info(func, label).suffix
+    best = INF
+    if key == (goal.function, goal.block):
+        best = float(suffix[0] - suffix[goal.index])
+    for succ in functions[func].blocks[label].terminator.successors():
+        best = min(best, suffix[0] + table.block_dist.get((func, succ), INF))
+    for site in calc.callgraph.call_sites(func, label):
+        for target in site.targets:
+            if target in functions:
+                entry = table.block_dist.get((target, functions[target].entry), INF)
+                best = min(best, suffix[0] - suffix[site.ref.index] + 1 + entry)
+    return best
+
+
+def _module_and_goals(name):
+    """A workload's module plus its final and intermediate goal refs."""
+    from repro.core.goals import extract_goal
+    from repro.workloads import get
+
+    workload = _bpf64() if name == "bpf-64" else get(name)
+    module = workload.compile()
+    targets = extract_goal(module, workload.make_report()).targets
+    goals = set(targets)
+    for target in targets:
+        for ig in find_intermediate_goals(module, target):
+            goals.update(ig.alternatives)
+    return module, sorted(goals)
+
+
+DIFFERENTIAL_PROGRAMS = ["listing1", "ghttpd", "ls4", "bpf-64"]
+
+
+class TestDistanceRows:
+    """The goal table's per-block rows answer every position exactly as the
+    per-call-site loop does, for final and intermediate goals."""
+
+    @pytest.mark.parametrize("name", DIFFERENTIAL_PROGRAMS)
+    def test_rows_match_per_site_loop(self, name):
+        module, goals = _module_and_goals(name)
+        calc = DistanceCalculator(module)
+        after_last_call = before_goal = after_goal = 0
+        for goal in goals:
+            for func in module.functions.values():
+                for label, block in func.blocks.items():
+                    calls = calc._info(func.name, label).calls
+                    in_goal_block = (func.name, label) == (goal.function, goal.block)
+                    for index in range(len(block.instrs) + 1):
+                        ref = InstrRef(func.name, label, index)
+                        got = calc.instruction_distance(ref, goal)
+                        assert got == _per_site_distance(calc, goal, ref), (ref, goal)
+                        if calls and index > calls[-1][0]:
+                            after_last_call += 1
+                        if in_goal_block:
+                            before_goal += index < goal.index
+                            after_goal += index > goal.index
+        assert after_last_call and before_goal and after_goal
+
+    @pytest.mark.parametrize("name", DIFFERENTIAL_PROGRAMS)
+    def test_block_dist_solves_shortest_path_equations(self, name):
+        # The callee -> call-site index must relax exactly the descent edges
+        # the call graph has: every block's table entry equals the minimum
+        # over its goal, successor and call-descent terms.
+        module, goals = _module_and_goals(name)
+        calc = DistanceCalculator(module)
+        for goal in goals:
+            table = calc._goal_table(goal)
+            for func in module.functions.values():
+                for label in func.blocks:
+                    key = (func.name, label)
+                    assert table.block_dist.get(key, INF) == \
+                        _block_equation(calc, table, key), (key, goal)
+
+
+class TestStaticPassCount:
+    def test_global_definitions_collected_once_per_module(self, monkeypatch):
+        import repro.analysis.critical as critical
+        import repro.core.synthesis as synthesis
+        from repro import ReproSession
+        from repro.analysis import reachdefs
+
+        calls = []
+
+        def counting(module):
+            calls.append(module)
+            return reachdefs.collect_global_definitions(module)
+
+        for namespace in (critical, synthesis):
+            monkeypatch.setattr(namespace, "collect_global_definitions", counting)
+        workload = _bpf64()
+        module = workload.compile()
+        result = ReproSession(module, workers=1).synthesize(workload.make_report())
+        assert result.found
+        assert calls == [module]
