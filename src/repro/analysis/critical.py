@@ -120,9 +120,8 @@ def find_intermediate_goals(
     solver's; the dead-definition filter can shrink the goal set, which is
     why callers memoize per flag value.
 
-    ``global_defs`` is :func:`collect_global_definitions` of ``module``;
-    callers deriving goals for several targets collect it once and pass it
-    in, otherwise this call collects it.
+    ``global_defs`` (:func:`collect_global_definitions` of ``module``) lets
+    callers share one module pass across targets.
     """
     solver = solver or Solver()
     if global_defs is None:

@@ -336,17 +336,15 @@ class _GoalTable:
     def _row(self, key: tuple[str, str]) -> list[float]:
         """Distances from every position of one block.
 
-        From position ``i`` a path either leaves the block's straight line
-        at some ``j >= i`` -- descending into a call or spawn site, or
-        reaching the goal when this is the goal's block -- or runs to the
-        end and falls into a successor.  Each leave-at-``j`` term costs
-        ``suffix[i] - suffix[j] + rest``, so with
-        ``tail_best[i] = min over j >= i of (rest_j - suffix[j])`` and
-        ``exit_best = min over successors of block_dist`` the distance is
-        ``suffix[i] + min(tail_best[i], exit_best)``.  The regrouping is
-        exact: every suffix entry and block_dist value is an integer-valued
-        float (``_info`` stores ``int(cost)``), so the sums round nowhere
-        and each distance is bit-for-bit the per-call-site minimum.
+        A path from position ``i`` leaves the block at some ``j >= i`` (a
+        call or spawn site, or the goal itself) for ``suffix[i] - suffix[j]
+        + rest_j``, or falls into a successor, so the distance is
+        ``suffix[i] + min(tail_best[i], exit_best)`` with ``tail_best[i]``
+        the least ``rest_j - suffix[j]`` over ``j >= i`` and ``exit_best``
+        the least successor ``block_dist``.  The regrouping is
+        exact: suffix entries and block_dist values are integer-valued
+        floats (``_info`` stores ``int(cost)``), so no sum rounds and each
+        distance is bit-for-bit the per-call-site minimum.
         """
         calc = self.calc
         func, label = key
