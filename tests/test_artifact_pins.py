@@ -9,6 +9,11 @@ The other byte-identity tests compare two modes of one build; these pins
 catch a change to the interpreter, the fork, or the searcher that moves
 an artifact or a counter between builds.
 
+Three more digests pin what the compilers and the search's observers
+produce: the printed IR of the compiled module, the flight log's
+records (state ids renumbered), and the progress events (everything
+but their timing).
+
 Regenerate the pins (only for a change that is meant to move them, and
 say why in the change description) with::
 
@@ -26,6 +31,7 @@ import pytest
 
 from repro import ReproSession
 from repro.bpf import BPFParams, generate
+from repro.ir.printer import format_module
 from repro.workloads import ALL, get
 
 PINS_PATH = Path(__file__).parent / "assets" / "artifact_pins.json"
@@ -48,12 +54,39 @@ def _workload(name: str):
     return generate(params).workload if params is not None else get(name)
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _renumbered(records: list) -> list:
+    """Flight records with state ids renumbered by first appearance.
+
+    State ids come from a process-wide counter, so their absolute values
+    depend on what ran earlier in the process; the renumbered lineage does
+    not."""
+    ids = {0: 0}
+    renumbered = []
+    for record in records:
+        record = dict(record)
+        for key in ("sid", "parent"):
+            if key in record:
+                record[key] = ids.setdefault(record[key], len(ids))
+        renumbered.append(record)
+    return renumbered
+
+
 def measure(name: str) -> dict:
     """Synthesize ``name`` serially in a cold session; return its pins."""
     workload = _workload(name)
-    session = ReproSession(workload.compile(), workers=1)
+    module = workload.compile()
+    events: list = []
+    session = ReproSession(module, workers=1, flight=True,
+                           on_progress=events.append)
     result = session.synthesize(workload.make_report())
     totals = session.program.exec_totals
+    records = _renumbered(session.flight_document()["records"])
+    observed = [[e.kind, e.picks, e.instructions, e.states, e.pending,
+                 e.reason, e.detail] for e in events]
     return {
         "found": result.found,
         "sha256": hashlib.sha256(
@@ -65,6 +98,9 @@ def measure(name: str) -> dict:
         "states_created": totals.states_created,
         "sched_forks": totals.sched_forks,
         "solver_queries": session.solver_stats.queries,
+        "ir_sha256": _sha256(format_module(module)),
+        "flight_sha256": _sha256(json.dumps(records, sort_keys=True)),
+        "events_sha256": _sha256(json.dumps(observed)),
     }
 
 
