@@ -44,7 +44,7 @@ from ..core.execfile import ExecutionFile
 from ..core.synthesis import ESDConfig, StaticStats, SynthesisResult
 from ..core.triage import TriageDatabase
 from ..lang import compile_source
-from ..obs import FlightRecorder, Tracer
+from ..obs import FlightRecorder, SearchObserver, Tracer
 from ..playback import PlaybackResult, play_back
 from ..schema import atomic_write_text
 from ..search import EventCallback
@@ -278,15 +278,23 @@ class ReproSession:
             self.program,
             report,
             config or self.config,
-            on_progress=on_progress or self.on_progress,
             should_stop=should_stop,
             workers=workers,
             checkpoint_path=checkpoint_path,
             checkpoint_interval=checkpoint_interval,
             handle_signals=handle_signals,
-            tracer=self.tracer if self.tracer.enabled else None,
-            flight=self.flight if self.flight.enabled else None,
+            observer=self._observer(on_progress),
         )
+
+    def _observer(self, on_progress: Optional[EventCallback]
+                  ) -> Optional[SearchObserver]:
+        """One call's observer over the session's tracer, flight recorder
+        and progress callback; None when nothing observes."""
+        on_event = on_progress or self.on_progress
+        if not (self.tracer.enabled or self.flight.enabled or on_event):
+            return None
+        return SearchObserver(tracer=self.tracer, flight=self.flight,
+                              on_event=on_event)
 
     # -- async jobs ----------------------------------------------------------
 
@@ -350,11 +358,10 @@ class ReproSession:
             workers=workers if workers is not None else checkpoint.workers,
             statics=self.statics,
             solver=self.solver,
-            on_event=on_progress or self.on_progress,
+            observer=self._observer(on_progress),
             checkpoint_path=checkpoint_path,
             checkpoint_interval=checkpoint_interval,
             handle_signals=handle_signals,
-            tracer=self.tracer if self.tracer.enabled else None,
         )
         return pool.resume(checkpoint)
 
@@ -474,15 +481,9 @@ class ReproSession:
         max_steps: int = 10_000_000,
     ) -> PlaybackResult:
         """Deterministically replay a synthesized execution."""
-        span = (self.tracer.begin("phase:replay", "phase",
-                                  {"mode": mode})
-                if self.tracer.enabled else None)
-        try:
+        with self.tracer.span("phase:replay", "phase", {"mode": mode}):
             return play_back(self.module, execution, mode=mode,
                              max_steps=max_steps)
-        finally:
-            if span is not None:
-                self.tracer.finish(span)
 
     # -- observability -------------------------------------------------------
 
@@ -620,6 +621,6 @@ class ReproSession:
             passing=passing,
             statics=self.statics,
             solver=self.solver,
-            on_progress=on_progress or self.on_progress,
+            observer=self._observer(on_progress),
             should_stop=should_stop,
         )

@@ -41,14 +41,8 @@ from ..analysis import (
 )
 from ..concurrency import ChainedPolicy
 from ..coredump import BugReport
-from ..search import (
-    EventCallback,
-    GoalSpec,
-    SearchBudget,
-    SearchOutcome,
-    StopPredicate,
-    explore_frontier,
-)
+from ..obs.observer import UNOBSERVED, SearchObserver
+from ..search import GoalSpec, SearchBudget, StopPredicate, explore_frontier
 from ..solver import Solver
 from ..symbex import ExecConfig, Executor, SchedulerPolicy, SymbolicEnv
 from ..symbex.state import ExecutionState
@@ -368,22 +362,19 @@ def build_search_setup(
     statics: Optional[StaticAnalysisCache] = None,
     solver: Optional[Solver] = None,
     seed_offset: int = 0,
-    tracer=None,
-    flight=None,
+    observer: Optional[SearchObserver] = None,
 ) -> SearchSetup:
     """Run the static phase and wire up executor/searcher/policy.
 
     ``seed_offset`` perturbs the searcher's RNG seed (each parallel worker
     gets a distinct stream so sibling shards do not mirror each other's
-    queue choices).  ``tracer`` (a :class:`repro.obs.Tracer`) wraps the
-    call in a ``phase:static`` span and is handed to the executor's
-    solver owner for query attribution; timing stays in the trace, never
-    in the returned setup or any artifact derived from it.  ``flight``
-    (a :class:`repro.obs.FlightRecorder`) is attached to the executor
-    the same way; like the tracer it only observes, so recorded runs
-    stay byte-identical to unrecorded ones.
+    queue choices).  ``observer`` (a :class:`repro.obs.SearchObserver`)
+    wraps the call in a ``phase:static`` span and is attached to the
+    executor for its bug marks; it only observes, so timing stays in the
+    trace and observed runs stay byte-identical to unobserved ones.
     """
     config = config or ESDConfig()
+    observer = observer or UNOBSERVED
     if statics is None:
         statics = StaticAnalysisCache(module)
     elif statics.module is not module:
@@ -392,83 +383,59 @@ def build_search_setup(
             f"not {module.name!r}; a recompiled (e.g. patched) program needs "
             f"a fresh cache/session"
         )
-    span = (tracer.begin("phase:static", "phase")
-            if tracer is not None and tracer.enabled else None)
-    try:
-        setup = _build_search_setup_timed(
-            module, report, config, statics=statics, solver=solver,
-            seed_offset=seed_offset,
-        )
-        if span is not None:
-            setup.executor.tracer = tracer
-        if flight is not None and flight.enabled:
-            setup.executor.flight = flight
-        return setup
-    finally:
-        if span is not None:
-            tracer.finish(span)
+    with observer.phase("phase:static"):
+        # Resolve the strategy before paying for the static phase, so a typo'd
+        # name fails fast (lazy import: the registry layers above core).
+        from ..api.registry import get_searcher
 
+        searcher_factory = get_searcher(config.strategy)
+        goal = extract_goal(module, report)
 
-def _build_search_setup_timed(
-    module: ir.Module,
-    report: BugReport,
-    config: ESDConfig,
-    *,
-    statics: StaticAnalysisCache,
-    solver: Optional[Solver],
-    seed_offset: int,
-) -> SearchSetup:
-    # Resolve the strategy before paying for the static phase, so a typo'd
-    # name fails fast (lazy import: the registry layers above core).
-    from ..api.registry import get_searcher
-
-    searcher_factory = get_searcher(config.strategy)
-    goal = extract_goal(module, report)
-
-    static_started = time.monotonic()
-    distances = statics.distances()
-    if solver is None:
-        solver = Solver()
-    intermediate: list[GoalSpec] = []
-    if config.use_intermediate_goals:
-        intermediate = list(
-            statics.intermediate_goal_specs(
-                goal, solver, static_eval=config.use_static_pruning
+        static_started = time.monotonic()
+        distances = statics.distances()
+        if solver is None:
+            solver = Solver()
+        intermediate: list[GoalSpec] = []
+        if config.use_intermediate_goals:
+            intermediate = list(
+                statics.intermediate_goal_specs(
+                    goal, solver, static_eval=config.use_static_pruning
+                )
             )
-        )
-    final = GoalSpec(goal.targets, "final")
-    statics.warm(intermediate + [final])
-    absint = None
-    wp_conditions = None
-    search_distances: DistanceSource = distances
-    if config.use_static_pruning:
-        facts = statics.absint_facts()
-        if facts.pruning_sound:
-            absint = facts
-            # Goal-directed layer: gate the proximity heuristic with the
-            # pruned reach set (states that provably cannot reach the goal
-            # score INF and are dropped) and hand the executor the
-            # necessary preconditions so refuted branch directions skip
-            # their feasibility probes.
-            reach = statics.reachability(goal.targets)
-            search_distances = GoalGatedDistances(distances, reach.blocks)
-            wp_conditions = statics.necessary_conditions(goal.targets)
-    static_seconds = time.monotonic() - static_started
+        final = GoalSpec(goal.targets, "final")
+        statics.warm(intermediate + [final])
+        absint = None
+        wp_conditions = None
+        search_distances: DistanceSource = distances
+        if config.use_static_pruning:
+            facts = statics.absint_facts()
+            if facts.pruning_sound:
+                absint = facts
+                # Goal-directed layer: gate the proximity heuristic with the
+                # pruned reach set (states that provably cannot reach the goal
+                # score INF and are dropped) and hand the executor the
+                # necessary preconditions so refuted branch directions skip
+                # their feasibility probes.
+                reach = statics.reachability(goal.targets)
+                search_distances = GoalGatedDistances(distances, reach.blocks)
+                wp_conditions = statics.necessary_conditions(goal.targets)
+        static_seconds = time.monotonic() - static_started
 
-    policy = _build_policy(module, goal, config, report.bug_type)
-    executor = Executor(
-        module,
-        solver=solver,
-        env=SymbolicEnv(config.string_size, config.max_args),
-        policy=policy,
-        config=ExecConfig(string_size=config.string_size, max_args=config.max_args),
-        absint=absint,
-        wp=wp_conditions,
-    )
-    if seed_offset:
-        config = replace(config, seed=config.seed + seed_offset)
-    searcher = searcher_factory(search_distances, intermediate, final, config)
-    _wire_boost(policy, searcher)
+        policy = _build_policy(module, goal, config, report.bug_type)
+        executor = Executor(
+            module,
+            solver=solver,
+            env=SymbolicEnv(config.string_size, config.max_args),
+            policy=policy,
+            config=ExecConfig(string_size=config.string_size, max_args=config.max_args),
+            absint=absint,
+            wp=wp_conditions,
+        )
+        if seed_offset:
+            config = replace(config, seed=config.seed + seed_offset)
+        searcher = searcher_factory(search_distances, intermediate, final, config)
+        _wire_boost(policy, searcher)
+    executor.observer = observer
     return SearchSetup(
         goal=goal,
         executor=executor,
@@ -486,10 +453,8 @@ def esd_synthesize(
     *,
     statics: Optional[StaticAnalysisCache] = None,
     solver: Optional[Solver] = None,
-    on_progress: Optional[EventCallback] = None,
     should_stop: Optional[StopPredicate] = None,
-    tracer=None,
-    flight=None,
+    observer: Optional[SearchObserver] = None,
     executor_sink: Optional[Callable[[Executor], None]] = None,
 ) -> SynthesisResult:
     """Synthesize an execution reproducing the reported bug.
@@ -499,41 +464,36 @@ def esd_synthesize(
     the structural counterexample cache -- across calls, the way
     :class:`~repro.api.ReproSession` amortizes solves over a stream of
     reports (the solver is reentrant, so portfolio variants may share one
-    concurrently); ``on_progress`` observes the explore loop via
-    :class:`~repro.search.SynthesisEvent`; ``should_stop`` cancels the
-    search cooperatively (outcome reason ``'cancelled'``); ``tracer``
-    wraps the whole call in a ``job`` span containing the ``phase:*``
-    spans of the static, search, and solve phases; ``executor_sink``
-    receives the run's executor once the search ends (found or not), so
-    callers tracking cumulative ``ExecStats`` across runs can fold in
-    this run's counters before the executor is dropped.
+    concurrently); ``should_stop`` cancels the search cooperatively
+    (outcome reason ``'cancelled'``); ``observer`` sees the search's
+    progress events and flight records and, when tracing, wraps the whole
+    call in a ``job`` span containing the ``phase:*`` spans of the static,
+    search, and solve phases; ``executor_sink`` receives the run's
+    executor once the search ends (found or not), so callers tracking
+    cumulative ``ExecStats`` across runs can fold in this run's counters
+    before the executor is dropped.
     """
     config = config or ESDConfig()
-    job = (tracer.begin(f"synth:{module.name}", "job",
-                        {"bug_type": report.bug_type})
-           if tracer is not None and tracer.enabled else None)
-    result: Optional[SynthesisResult] = None
-    try:
+    observer = observer or UNOBSERVED
+    with observer.phase(f"synth:{module.name}", "job",
+                        {"bug_type": report.bug_type}) as job:
         setup = build_search_setup(
             module, report, config, statics=statics, solver=solver,
-            tracer=tracer, flight=flight,
+            observer=observer,
         )
         try:
             result = search_from_setup(
-                module, setup, config, on_progress=on_progress,
-                should_stop=should_stop, tracer=tracer, flight=flight,
+                module, setup, config, should_stop=should_stop,
+                observer=observer,
             )
-            return result
         finally:
             if executor_sink is not None:
                 executor_sink(setup.executor)
-    finally:
         if job is not None:
-            attrs = ({"found": result.found, "reason": result.reason,
-                      "instructions": result.instructions,
-                      "states": result.states_explored}
-                     if result is not None else {})
-            tracer.finish(job, attrs)
+            job.attrs.update(found=result.found, reason=result.reason,
+                             instructions=result.instructions,
+                             states=result.states_explored)
+        return result
 
 
 def search_from_setup(
@@ -543,10 +503,8 @@ def search_from_setup(
     *,
     frontier: Optional[list[ExecutionState]] = None,
     count_frontier: bool = True,
-    on_progress: Optional[EventCallback] = None,
     should_stop: Optional[StopPredicate] = None,
-    tracer=None,
-    flight=None,
+    observer: Optional[SearchObserver] = None,
 ) -> SynthesisResult:
     """The dynamic phase alone: explore from a prepared
     :class:`SearchSetup` and package the outcome.
@@ -560,57 +518,47 @@ def search_from_setup(
     states that were already counted in the leg that snapshotted them.
     """
     config = config or ESDConfig()
+    observer = observer or UNOBSERVED
     states = (frontier if frontier is not None
               else [setup.executor.initial_state()])
-    span = (tracer.begin("phase:search", "phase")
-            if tracer is not None and tracer.enabled else None)
-    try:
+    with observer.phase("phase:search"):
         outcome = explore_frontier(
             setup.executor,
             setup.searcher,
             states,
             setup.goal.matches,
             config.budget,
-            on_event=on_progress,
+            observer=observer,
             should_stop=should_stop,
             count_frontier=count_frontier,
-            tracer=tracer,
-            flight=flight,
         )
-    finally:
-        if span is not None:
-            tracer.finish(span)
-    if flight is not None and flight.enabled:
-        flight.totals.update(_flight_totals(outcome, setup))
-    return _result_from_outcome(
-        module, setup.goal, outcome, setup.executor, setup.static_seconds,
-        setup.intermediate_count, setup.searcher, tracer=tracer,
+    observer.record_totals(outcome, setup)
+    executor = setup.executor
+    execution_file = None
+    if outcome.goal_state is not None:
+        with observer.phase("phase:solve"):
+            execution_file = execution_file_from_state(
+                module.name,
+                outcome.goal_state,
+                executor.solver,
+                synthesis_seconds=setup.static_seconds + outcome.stats.seconds,
+                instructions_explored=outcome.stats.instructions,
+            )
+    return SynthesisResult(
+        found=outcome.found,
+        reason=outcome.reason,
+        goal=setup.goal,
+        execution_file=execution_file,
+        goal_state=outcome.goal_state,
+        static_seconds=setup.static_seconds,
+        search_seconds=outcome.stats.seconds,
+        instructions=outcome.stats.instructions,
+        states_explored=outcome.stats.states_explored,
+        other_bugs=len(outcome.other_bugs),
+        intermediate_goal_count=setup.intermediate_count,
+        states_pruned=int(getattr(setup.searcher, "pruned", 0) or 0),
+        static_prune=executor.prune_stats if executor.wp is not None else None,
     )
-
-
-def _flight_totals(outcome: SearchOutcome, setup: SearchSetup) -> dict:
-    """Whole-run stats stamped into the flight log after a recorded search.
-
-    ``repro explain`` uses ``states_explored`` as the attribution
-    denominator and the solver/pruning counters for subsystem spend; all
-    of it lives in the log document, never in synthesis artifacts.
-    """
-    solver_stats = setup.executor.solver.stats
-    prune = setup.executor.prune_stats
-    return {
-        "states_explored": outcome.stats.states_explored,
-        "picks": outcome.stats.picks,
-        "instructions": outcome.stats.instructions,
-        "search_seconds": round(outcome.stats.seconds, 6),
-        "static_seconds": round(setup.static_seconds, 6),
-        "states_pruned": int(getattr(setup.searcher, "pruned", 0) or 0),
-        "solver_queries": solver_stats.queries,
-        "static_answers": solver_stats.static_answers,
-        "wp_checks": prune.checks,
-        "wp_branch_prunes": prune.branch_prunes,
-        "wp_probes_avoided": prune.probes_avoided,
-        "wp_state_kills": prune.state_kills,
-    }
 
 
 def _build_policy(
@@ -639,46 +587,3 @@ def _wire_boost(policy: SchedulerPolicy, searcher) -> None:
     for sub in subs:
         if hasattr(sub, "boost"):
             sub.boost = boost
-
-
-def _result_from_outcome(
-    module: ir.Module,
-    goal: SynthesisGoal,
-    outcome: SearchOutcome,
-    executor: Executor,
-    static_seconds: float,
-    intermediate_count: int,
-    searcher: object = None,
-    tracer=None,
-) -> SynthesisResult:
-    execution_file = None
-    if outcome.found:
-        assert outcome.goal_state is not None
-        span = (tracer.begin("phase:solve", "phase")
-                if tracer is not None and tracer.enabled else None)
-        try:
-            execution_file = execution_file_from_state(
-                module.name,
-                outcome.goal_state,
-                executor.solver,
-                synthesis_seconds=static_seconds + outcome.stats.seconds,
-                instructions_explored=outcome.stats.instructions,
-            )
-        finally:
-            if span is not None:
-                tracer.finish(span)
-    return SynthesisResult(
-        found=outcome.found,
-        reason=outcome.reason,
-        goal=goal,
-        execution_file=execution_file,
-        goal_state=outcome.goal_state,
-        static_seconds=static_seconds,
-        search_seconds=outcome.stats.seconds,
-        instructions=outcome.stats.instructions,
-        states_explored=outcome.stats.states_explored,
-        other_bugs=len(outcome.other_bugs),
-        intermediate_goal_count=intermediate_count,
-        states_pruned=int(getattr(searcher, "pruned", 0) or 0),
-        static_prune=executor.prune_stats if executor.wp is not None else None,
-    )

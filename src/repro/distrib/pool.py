@@ -55,7 +55,6 @@ from typing import Optional
 from .. import ir
 from ..coredump import BugReport
 from ..core.execfile import execution_file_from_state
-from ..obs.trace import Tracer
 from ..core.synthesis import (
     ESDConfig,
     SearchSetup,
@@ -63,13 +62,9 @@ from ..core.synthesis import (
     SynthesisResult,
     build_search_setup,
 )
-from ..search import (
-    EventCallback,
-    SearchBudget,
-    StopPredicate,
-    SynthesisEvent,
-    explore_frontier,
-)
+from ..obs.observer import UNOBSERVED, SearchObserver
+from ..obs.trace import Tracer
+from ..search import SearchBudget, StopPredicate, explore_frontier
 from ..solver import Solver
 from ..symbex.state import ExecutionState
 from .checkpoint import ExplorationCheckpoint
@@ -155,7 +150,7 @@ class ParallelExplorer:
         workers: int = 2,
         statics: Optional[StaticAnalysisCache] = None,
         solver: Optional[Solver] = None,
-        on_event: Optional[EventCallback] = None,
+        observer: Optional[SearchObserver] = None,
         should_stop: Optional[StopPredicate] = None,
         checkpoint_path: Optional[str] = None,
         checkpoint_interval: float = 5.0,
@@ -165,7 +160,6 @@ class ParallelExplorer:
         verify_snapshots: bool = False,
         source_path: str = "",
         handle_signals: bool = False,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
@@ -175,7 +169,6 @@ class ParallelExplorer:
         self.workers = workers
         self.statics = statics or StaticAnalysisCache(module)
         self.solver = solver or Solver()
-        self.on_event = on_event
         self.should_stop = should_stop
         self.checkpoint_path = checkpoint_path
         self.checkpoint_interval = checkpoint_interval
@@ -188,11 +181,16 @@ class ParallelExplorer:
         self.checkpoints_written = 0
         self.steals = 0
         self._shutdown_requested = threading.Event()
-        # Observability: worker tracers ship their spans in quantum-status
-        # and steal payloads (the same boundaries the solver-cache delta
-        # merge uses); the master ingests them under its phase:search span.
-        self.tracer = tracer
-        self._search_span = None
+        # Observability: the master reports its own events and spans to
+        # ``observer``; the static phase and seed search report through its
+        # nested view (their start/done is the pool's).  Worker tracers ship
+        # their spans in quantum-status and steal payloads (the same
+        # boundaries the solver-cache delta merge uses); the master ingests
+        # them under its phase:search span.  Flight recording covers the
+        # serial engine only: a pool run's picks happen in the workers.
+        self.observer = observer or UNOBSERVED
+        self._nested = self.observer.nested()
+        self._search_span_id = 0
 
     # -- public entry points -------------------------------------------------
 
@@ -223,13 +221,10 @@ class ParallelExplorer:
         SIGINT during the run become :meth:`request_shutdown` instead of
         killing the process mid-search, so the final checkpoint makes the
         interrupted job resumable."""
-        tracer = self.tracer
-        job = (tracer.begin(f"synth:{self.module.name}", "job",
-                            {"bug_type": self.report.bug_type,
-                             "workers": self.workers,
-                             "resumed": resume is not None})
-               if tracer is not None and tracer.enabled else None)
-        try:
+        with self.observer.phase(f"synth:{self.module.name}", "job",
+                                 {"bug_type": self.report.bug_type,
+                                  "workers": self.workers,
+                                  "resumed": resume is not None}):
             if not (self.handle_signals
                     and threading.current_thread() is threading.main_thread()):
                 return self._run_impl(resume)
@@ -245,9 +240,6 @@ class ParallelExplorer:
             finally:
                 for sig, old in previous.items():
                     signal.signal(sig, old)
-        finally:
-            if job is not None:
-                tracer.finish(job)
 
     def _run_impl(
         self, resume: Optional[ExplorationCheckpoint]
@@ -256,19 +248,41 @@ class ParallelExplorer:
             raise DistribUnsupportedError(
                 "parallel exploration requires the fork start method"
             )
-        config = self.config
-        budget = config.budget
-        totals = _Totals()
         setup = build_search_setup(
-            self.module, self.report, config,
-            statics=self.statics, solver=self.solver, tracer=self.tracer,
+            self.module, self.report, self.config,
+            statics=self.statics, solver=self.solver, observer=self._nested,
         )
-        static_seconds = setup.static_seconds
         started = time.monotonic()
+        self._errors: list[tuple[int, str]] = []
+        with self.observer.phase("phase:search") as span:
+            self._search_span_id = span.span_id if span is not None else 0
+            goal_state, reason, totals, static_seconds = self._search(
+                resume, setup, started)
+            if goal_state is None and self._errors:
+                # Do not let a worker crash masquerade as a genuine
+                # negative ("exhausted"/"budget") answer.
+                reason = "error"
+            if span is not None:
+                span.attrs.update(reason=reason, steals=self.steals,
+                                  instructions=totals.instructions,
+                                  states=totals.states)
+        if reason == "error":
+            shard, trace = self._errors[0]
+            raise RuntimeError(
+                f"parallel exploration worker {shard} crashed "
+                f"({len(self._errors)} worker error(s) total):\n{trace}"
+            )
+        return self._result(goal_state, reason, setup, totals,
+                            static_seconds, started)
+
+    def _search(self, resume: Optional[ExplorationCheckpoint],
+                setup: SearchSetup, started: float):
+        """Seed (or restore), shard and explore; returns ``(goal_state,
+        reason, totals, static_seconds)``."""
+        budget = self.config.budget
+        totals = _Totals()
+        static_seconds = setup.static_seconds
         deadline = started + budget.max_seconds
-        traced = self.tracer is not None and self.tracer.enabled
-        self._search_span = (self.tracer.begin("phase:search", "phase")
-                             if traced else None)
 
         self._emit("start", totals, (), started)
         if resume is not None:
@@ -285,8 +299,7 @@ class ParallelExplorer:
             # seeds); restore the partitioner's best-first precondition.
             scored.sort(key=lambda pair: pair[0])
             if not scored:
-                return self._result(None, "exhausted", setup, totals,
-                                    static_seconds, started)
+                return None, "exhausted", totals, static_seconds
         else:
             seeded = self._seed(setup, budget, totals)
             if seeded is not None:  # search ended during seeding
@@ -300,8 +313,7 @@ class ParallelExplorer:
                              [state for _, state in scored])},
                         (), setup, totals, static_seconds, started,
                     )
-                return self._result(outcome_state, reason, setup, totals,
-                                    static_seconds, started)
+                return outcome_state, reason, totals, static_seconds
             scored = setup.searcher.export_frontier()
             if self.verify_snapshots:
                 for _, state in scored[: self.workers]:
@@ -322,7 +334,6 @@ class ParallelExplorer:
         last_checkpoint = time.monotonic()
         collecting: Optional[dict[int, tuple[list, list]]] = None
         final_collect = False
-        self._errors: list[tuple[int, str]] = []
 
         try:
             while True:
@@ -434,20 +445,7 @@ class ParallelExplorer:
                             break
         finally:
             self._shutdown(handles)
-
-        if goal_state is None and self._errors:
-            # Do not let a worker crash masquerade as a genuine negative
-            # ("exhausted"/"budget") answer.
-            if self._search_span is not None and self.tracer is not None:
-                self.tracer.finish(self._search_span, {"reason": "error"})
-                self._search_span = None
-            shard, trace = self._errors[0]
-            raise RuntimeError(
-                f"parallel exploration worker {shard} crashed "
-                f"({len(self._errors)} worker error(s) total):\n{trace}"
-            )
-        return self._result(goal_state, reason, setup, totals,
-                            static_seconds, started)
+        return goal_state, reason, totals, static_seconds
 
     # -- seed phase ----------------------------------------------------------
 
@@ -468,18 +466,10 @@ class ParallelExplorer:
                 return True
             return len(searcher) >= target
 
-        forward = None
-        if self.on_event is not None:
-            # Forward the seed search's observations, minus its own
-            # start/done bracket (the pool emits its own).
-            def forward(event: SynthesisEvent) -> None:
-                if event.kind in ("progress", "bug"):
-                    self.on_event(event)
-
         outcome = explore_frontier(
             setup.executor, searcher, [setup.executor.initial_state()],
-            setup.goal.matches, budget, should_stop=stop, on_event=forward,
-            tracer=self.tracer,
+            setup.goal.matches, budget, should_stop=stop,
+            observer=self._nested,
         )
         totals.instructions += outcome.stats.instructions
         totals.states += outcome.stats.states_explored
@@ -514,14 +504,16 @@ class ParallelExplorer:
         ctx = multiprocessing.get_context("fork")
         self._cancel = ctx.Event()
         handles = []
+        master_ends = []
         for shard_id, shard in enumerate(shards):
             parent_conn, child_conn = ctx.Pipe()
+            master_ends.append(parent_conn)
             proc = ctx.Process(
                 target=_worker_main,
-                args=(child_conn, shard_id, self.module, self.report,
-                      self.config, self.statics, self.solver.cache,
-                      self._cancel, shard,
-                      self.tracer is not None and self.tracer.enabled),
+                args=(child_conn, list(master_ends), shard_id, self.module,
+                      self.report, self.config, self.statics,
+                      self.solver.cache, self._cancel, shard,
+                      self.observer.tracer is not None),
                 daemon=True,
             )
             proc.start()
@@ -641,10 +633,10 @@ class ParallelExplorer:
     def _ingest_spans(self, handle, payload) -> None:
         """Adopt a worker's drained spans under the master's search span."""
         spans = payload.get("spans")
-        if spans and self.tracer is not None and self.tracer.enabled:
-            parent = (self._search_span.span_id
-                      if self._search_span is not None else 0)
-            self.tracer.ingest(spans, worker=handle.shard, parent_id=parent)
+        tracer = self.observer.tracer
+        if spans and tracer is not None:
+            tracer.ingest(spans, worker=handle.shard,
+                          parent_id=self._search_span_id)
 
     def _route_steal(self, victim, payload, handles) -> None:
         victim.pending = payload["pending"]
@@ -727,10 +719,8 @@ class ParallelExplorer:
 
     def _emit(self, kind: str, totals: _Totals, handles, started: float,
               *, worker: int = -1, reason: str = "", detail: str = "") -> None:
-        if self.on_event is None:
-            return
-        self.on_event(SynthesisEvent(
-            kind=kind,
+        self.observer.emit(
+            kind,
             picks=totals.picks,
             instructions=totals.instructions,
             states=totals.states,
@@ -740,31 +730,19 @@ class ParallelExplorer:
             detail=detail,
             worker=worker,
             shard=worker,
-        ))
+        )
 
     def _result(self, goal_state, reason, setup, totals: _Totals,
                 static_seconds: float, started: float) -> SynthesisResult:
         search_seconds = totals.prior_seconds + (time.monotonic() - started)
-        tracer = self.tracer
-        if self._search_span is not None and tracer is not None:
-            tracer.finish(self._search_span,
-                          {"reason": reason, "steals": self.steals,
-                           "instructions": totals.instructions,
-                           "states": totals.states})
-            self._search_span = None
         execution_file = None
         if goal_state is not None:
-            span = (tracer.begin("phase:solve", "phase")
-                    if tracer is not None and tracer.enabled else None)
-            try:
+            with self.observer.phase("phase:solve"):
                 execution_file = execution_file_from_state(
                     self.module.name, goal_state, self.solver,
                     synthesis_seconds=static_seconds + search_seconds,
                     instructions_explored=totals.instructions,
                 )
-            finally:
-                if span is not None:
-                    tracer.finish(span)
         self._emit("done", totals, (), started, reason=reason)
         return SynthesisResult(
             found=goal_state is not None,
@@ -784,8 +762,8 @@ class ParallelExplorer:
 # -- worker process -----------------------------------------------------------
 
 
-def _worker_main(conn, shard_id: int, module, report, config, statics,
-                 cache, cancel, shard, trace: bool = False) -> None:
+def _worker_main(conn, master_ends, shard_id: int, module, report, config,
+                 statics, cache, cancel, shard, trace: bool = False) -> None:
     """One shard's lifetime: build a search stack, serve commands.
 
     Runs in a forked child.  ``module``, ``statics``, ``cache``, and
@@ -793,7 +771,15 @@ def _worker_main(conn, shard_id: int, module, report, config, statics,
     space at fork time -- no serialization on the way in.  Everything going
     *back* (stolen states, checkpoints, the goal state) crosses through the
     snapshot layer.
+
+    ``master_ends`` are the master's ends of this worker's pipe and of
+    every earlier worker's, which the fork copied into this process.  They
+    are closed first: while any process holds the master's end open,
+    ``conn.recv()`` never sees EOF, and a worker whose master was killed
+    would wait forever.
     """
+    for end in master_ends:
+        end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
         try:
@@ -827,6 +813,7 @@ def _worker_loop(conn, shard_id: int, module, report, config, statics,
     # same warm setup, and counting it per worker would double-bill the
     # static phase the master already recorded.
     tracer = Tracer() if trace else None
+    observer = SearchObserver(tracer=tracer) if tracer is not None else None
     if tracer is not None:
         solver.tracer = tracer
     setup = build_search_setup(
@@ -835,8 +822,7 @@ def _worker_loop(conn, shard_id: int, module, report, config, statics,
     )
     searcher = setup.searcher
     executor = setup.executor
-    if tracer is not None:
-        executor.tracer = tracer
+    executor.observer = observer
     solver_base = _solver_snapshot(solver.stats)
     seeds: list[ExecutionState] = list(shard)
     while True:
@@ -859,8 +845,8 @@ def _worker_loop(conn, shard_id: int, module, report, config, statics,
             )
             outcome = explore_frontier(
                 executor, searcher, seeds, setup.goal.matches,
-                quantum_budget, should_stop=cancel.is_set,
-                count_frontier=False, tracer=tracer,
+                quantum_budget, observer=observer,
+                should_stop=cancel.is_set, count_frontier=False,
             )
             seeds = []
             goal_payload = None

@@ -12,6 +12,7 @@ The observability layer the rest of the pipeline reports into:
 * :mod:`repro.obs.flight`  -- the search flight recorder: one compact
   record per state transition (pick score, lineage, termination/prune
   attribution, solver-query linkage), ``esd-searchlog-v1`` documents.
+* :mod:`repro.obs.observer` -- the one hook a search reports into.
 * :mod:`repro.obs.explain` -- turn a flight log into answers: the goal
   path's decision chain, budget spend per subsystem/function, and
   two-log diffs (``repro explain``).
@@ -43,6 +44,7 @@ from .metrics import (
     counters_delta,
     unified_registry,
 )
+from .observer import SearchObserver
 from .trace import (
     TRACE_FORMAT,
     TRACE_SCHEMA_VERSION,
@@ -65,6 +67,7 @@ __all__ = [
     "METRICS_FORMAT",
     "METRICS_SCHEMA_VERSION",
     "MetricsRegistry",
+    "SearchObserver",
     "Span",
     "TRACE_FORMAT",
     "TRACE_SCHEMA_VERSION",

@@ -15,9 +15,9 @@ bounded in-memory buffer.
 
 Design rules, shared with :mod:`repro.obs.trace`:
 
-* **Zero overhead when off.**  Callers hoist ``flight is not None and
-  flight.enabled`` into a local boolean; the disabled search loop pays one
-  boolean test per pick and the recorder allocates nothing.
+* **Zero overhead when off.**  The search reaches the recorder only
+  through a :class:`~repro.obs.observer.SearchObserver`, whose gate the
+  engine hoists; the disabled loop pays one boolean test per pick.
 * **Observation only.**  The recorder never adds constraints, never
   consumes RNG draws, and never mutates states, so a recorded synthesis
   produces byte-identical artifacts to an unrecorded one (pinned by
@@ -72,14 +72,9 @@ KILL_SUBSYSTEM: dict[str, str] = {
 
 
 class FlightRecorder:
-    """Bounded append-only log of search decisions.
-
-    Attach to the owners of a search the same way a tracer is attached
-    (``executor.flight = recorder``; ``explore_frontier(...,
-    flight=recorder)``).  All methods are no-ops when ``enabled`` is
-    False, but hot callers should hoist the check instead of paying a
-    method call per pick.
-    """
+    """Bounded append-only log of search decisions, written through a
+    :class:`~repro.obs.observer.SearchObserver`.  All methods are no-ops
+    when ``enabled`` is False."""
 
     __slots__ = (
         "enabled", "max_records", "dropped", "high_water", "reason",

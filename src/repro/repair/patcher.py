@@ -33,13 +33,13 @@ from .. import ir
 from ..coredump import BugReport
 from ..core.execfile import ExecutionFile
 from ..core.synthesis import ESDConfig, StaticAnalysisCache, esd_synthesize
+from ..obs.observer import UNOBSERVED, SearchObserver
 from ..schema import (
     SchemaVersionError,
     canonical_json_bytes,
     check_schema_version,
     content_digest,
 )
-from ..search import SynthesisEvent
 from ..solver import Solver
 from .holes import (
     concrete_behavior,
@@ -270,19 +270,20 @@ def repair(
     passing: Optional[Sequence[ExecutionFile]] = None,
     statics: Optional[StaticAnalysisCache] = None,
     solver: Optional[Solver] = None,
-    on_progress=None,
+    observer: Optional[SearchObserver] = None,
     should_stop=None,
 ) -> RepairResult:
-    """Run the full localize -> patch -> validate pipeline for one report."""
+    """Run the full localize -> patch -> validate pipeline for one report.
+
+    ``observer`` sees the failing-execution synthesis and one 'progress'
+    event per pipeline step."""
     config = config or RepairConfig()
+    observer = observer or UNOBSERVED
     started = time.monotonic()
 
     def emit(detail: str) -> None:
-        if on_progress is not None:
-            on_progress(SynthesisEvent(
-                kind="progress", detail=f"repair: {detail}",
-                seconds=time.monotonic() - started,
-            ))
+        observer.emit("progress", detail=f"repair: {detail}",
+                      seconds=time.monotonic() - started)
 
     def cancelled() -> bool:
         return should_stop is not None and should_stop()
@@ -293,7 +294,7 @@ def repair(
         emit("synthesizing the failing execution")
         synthesis = esd_synthesize(
             module, report, config.esd, statics=statics, solver=solver,
-            on_progress=on_progress, should_stop=should_stop,
+            should_stop=should_stop, observer=observer,
         )
         synthesis_seconds = synthesis.total_seconds
         if not synthesis.found:

@@ -1,14 +1,13 @@
 """Search strategies over the symbolic execution tree."""
 
+from ..obs.observer import EventCallback, SynthesisEvent
 from .engine import (
-    EventCallback,
     GoalPredicate,
     SearchBudget,
     SearchOutcome,
     SearchStats,
     Searcher,
     StopPredicate,
-    SynthesisEvent,
     explore,
     explore_frontier,
 )

@@ -13,42 +13,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from ..obs.flight import FlightRecorder
-from ..obs.trace import Tracer
+from ..obs.observer import SearchObserver
 from ..symbex.executor import Executor
 from ..symbex.state import ExecutionState
 
 GoalPredicate = Callable[[ExecutionState], bool]
-
-
-@dataclass(slots=True)
-class SynthesisEvent:
-    """A structured progress event emitted by :func:`explore`.
-
-    ``kind`` is one of ``'start'`` (search begins), ``'progress'`` (periodic,
-    every ``event_interval`` picks), ``'bug'`` (a non-goal bug state was
-    recorded), ``'checkpoint'`` (a frontier checkpoint was written; ``detail``
-    holds the path), and ``'done'`` (the search returned; ``reason`` holds the
-    outcome reason).
-
-    ``worker`` and ``shard`` attribute the event to one worker process of a
-    :class:`~repro.distrib.ParallelExplorer` run; both are ``-1`` for events
-    from a serial search (or from the parallel master itself).
-    """
-
-    kind: str
-    picks: int = 0
-    instructions: int = 0
-    states: int = 0
-    pending: int = 0
-    seconds: float = 0.0
-    reason: str = ""
-    detail: str = ""
-    worker: int = -1
-    shard: int = -1
-
-
-EventCallback = Callable[[SynthesisEvent], None]
 StopPredicate = Callable[[], bool]
 
 
@@ -150,11 +119,8 @@ def explore(
     is_goal: GoalPredicate,
     budget: Optional[SearchBudget] = None,
     *,
-    on_event: Optional[EventCallback] = None,
-    event_interval: int = 4096,
+    observer: Optional[SearchObserver] = None,
     should_stop: Optional[StopPredicate] = None,
-    tracer: Optional[Tracer] = None,
-    flight: Optional[FlightRecorder] = None,
 ) -> SearchOutcome:
     """Run the search until the goal is found or a budget is exhausted.
 
@@ -163,16 +129,15 @@ def explore(
     goal are collected as ``other_bugs`` -- "ESD has discovered a different
     bug ... records the information ... and resumes the search" (section 4.1).
 
-    ``on_event`` receives :class:`SynthesisEvent` observations ('start',
-    periodic 'progress' every ``event_interval`` picks, 'bug', and a final
-    'done' carrying the outcome reason).  ``should_stop`` is polled once per
-    pick; when it returns True the search returns with reason 'cancelled'
-    (portfolio synthesis cancels the losing variants this way).
+    ``observer`` (a :class:`~repro.obs.SearchObserver`) is told about every
+    search decision and turns them into progress events, trace quanta and
+    flight records.  ``should_stop`` is polled once per pick; when it
+    returns True the search returns with reason 'cancelled' (portfolio
+    synthesis cancels the losing variants this way).
     """
     return explore_frontier(
         executor, searcher, [initial], is_goal, budget,
-        on_event=on_event, event_interval=event_interval,
-        should_stop=should_stop, tracer=tracer, flight=flight,
+        observer=observer, should_stop=should_stop,
     )
 
 
@@ -183,12 +148,9 @@ def explore_frontier(
     is_goal: GoalPredicate,
     budget: Optional[SearchBudget] = None,
     *,
-    on_event: Optional[EventCallback] = None,
-    event_interval: int = 4096,
+    observer: Optional[SearchObserver] = None,
     should_stop: Optional[StopPredicate] = None,
     count_frontier: bool = True,
-    tracer: Optional[Tracer] = None,
-    flight: Optional[FlightRecorder] = None,
 ) -> SearchOutcome:
     """:func:`explore` generalized to start from a whole frontier.
 
@@ -208,85 +170,43 @@ def explore_frontier(
     a measure of forward progress that serial and sharded runs agree on.
     """
     budget = budget or SearchBudget()
-    stats = SearchStats()
+    stats = SearchStats(states_explored=len(frontier) if count_frontier else 0)
     other_bugs: list[ExecutionState] = []
-    deadline = time.monotonic() + budget.max_seconds
     started = time.monotonic()
-    states_seen = len(frontier) if count_frontier else 0
-    # Search-quantum spans: when tracing, picks are grouped into spans of
-    # ``event_interval`` picks each (the same granularity as 'progress'
-    # events and the pool's work quanta), so a trace shows where search
-    # time went without recording a span per pick.  ``traced`` is hoisted
-    # so the disabled path costs one boolean test per pick.
-    traced = tracer is not None and tracer.enabled
-    quantum_span = None
-    quantum_picks = 0
-    quantum_size = max(event_interval, 1)
-    # Flight recording mirrors the tracer's hoisted gate: the disabled
-    # loop pays one boolean test per pick and allocates nothing.
-    recording = flight is not None and flight.enabled
+    deadline = started + budget.max_seconds
+    # The observer's gate is hoisted: ``every`` is how often a pick is
+    # reported (0 when nothing observes), so an unobserved loop pays one
+    # boolean test per pick and allocates nothing.
+    if observer is not None and not observer.every:
+        observer = None
+    every = 0
+    recording = False
+    if observer is not None:
+        every = observer.every
+        recording = observer.flight is not None
+        observer.start(searcher, stats)
     solver_stats = executor.solver.stats
-
-    def record_end(succ: ExecutionState, reason: str) -> None:
-        """One termination record, attributed to the killing layer."""
-        if flight is None:
-            return
-        why = ""
-        line = 0
-        if reason == "infeasible":
-            # The executor tags the layer that killed the state (wp-dead,
-            # step-limit, no-runnable-thread); untagged infeasibility means
-            # a feasibility probe refuted the path constraints.
-            why = str(succ.meta.get("killed", "") or "path-constraint")
-        elif reason == "bug" and succ.bug is not None:
-            why = f"bug:{succ.bug.kind.value}"
-            line = succ.bug.line
-        flight.end(succ.sid, succ.parent_sid, reason, why=why, line=line)
-
     add = searcher.add
 
     def enqueue(succ: ExecutionState, fresh: bool) -> None:
-        """Add ``succ`` to the searcher; when recording, log the lineage
+        """Add ``succ`` to the searcher; when recording, report the lineage
         edge of a ``fresh`` state or the searcher's abandonment of it."""
-        if not recording or flight is None:
+        if not recording or observer is None:
             add(succ)
             return
         pruned_before = searcher.pruned
         add(succ)
         if searcher.pruned > pruned_before:
-            flight.drop(succ.sid, succ.parent_sid, "distance-inf")
+            observer.drop(succ, "distance-inf")
         elif fresh:
-            flight.add(succ.sid, succ.parent_sid)
-
-    def emit(kind: str, reason: str = "", detail: str = "") -> None:
-        if on_event is not None:
-            on_event(SynthesisEvent(
-                kind=kind,
-                picks=stats.picks,
-                instructions=stats.instructions,
-                states=states_seen,
-                pending=len(searcher),
-                seconds=time.monotonic() - started,
-                reason=reason,
-                detail=detail,
-            ))
+            observer.add(succ)
 
     def finish(goal_state: Optional[ExecutionState], reason: str) -> SearchOutcome:
-        nonlocal quantum_span
-        stats.states_explored = states_seen
         stats.seconds = time.monotonic() - started
-        if quantum_span is not None and tracer is not None:
-            tracer.finish(quantum_span, {"picks": quantum_picks,
-                                         "pending": len(searcher)})
-            quantum_span = None
-        if recording and flight is not None:
-            if goal_state is not None:
-                record_end(goal_state, "goal")
-            flight.done(reason)
-        emit("done", reason=reason)
+        if observer is not None:
+            observer.done(goal_state, reason)
         return SearchOutcome(goal_state, reason, stats, other_bugs)
 
-    emit("start")
     for state in frontier:
         if is_goal(state):
             return finish(state, "goal")
@@ -303,7 +223,6 @@ def explore_frontier(
     batch_size = max(budget.batch_instructions, 1)
     max_instructions = budget.max_instructions
     max_states = budget.max_states
-    progress_every = max(event_interval, 1) if on_event is not None else 0
     # Predefined so the per-pick assignments stay inside the recording
     # branch (mypy-clean without paying for them when off).
     solver_base = 0
@@ -313,24 +232,14 @@ def explore_frontier(
     while len(searcher):
         if should_stop is not None and should_stop():
             return finish(None, "cancelled")
-        if stats.instructions >= max_instructions or states_seen >= max_states:
+        if (stats.instructions >= max_instructions
+                or stats.states_explored >= max_states):
             return finish(None, "budget")
         if stats.picks % 256 == 0 and monotonic() > deadline:
             return finish(None, "budget")
 
         state = pick()
         stats.picks += 1
-        if traced and tracer is not None:
-            if quantum_span is None:
-                quantum_span = tracer.begin("search.quantum", "search-quantum")
-                quantum_picks = 0
-            quantum_picks += 1
-            if quantum_picks >= quantum_size:
-                tracer.finish(quantum_span, {"picks": quantum_picks,
-                                             "pending": len(searcher)})
-                quantum_span = None
-        if progress_every and stats.picks % progress_every == 0:
-            emit("progress")
         # Run the picked state for a batch: stop at a fork, termination, or
         # the batch limit, whichever comes first.
         batch_base = exec_stats.instructions - exec_stats.replayed
@@ -343,15 +252,11 @@ def explore_frontier(
                          else "")
         successors = run(state, batch_size)
         ran = exec_stats.instructions - exec_stats.replayed - batch_base
+        if every and stats.picks % every == 0 and observer is not None:
+            observer.pick(state, ran, picked_fn,
+                          solver_stats.queries - solver_base,
+                          solver_stats.static_answers - static_base)
         stats.instructions += ran
-        if recording and flight is not None:
-            queue, score, strategy = searcher.pick_info()
-            flight.pick(
-                state.sid, queue=queue, score=score, strategy=strategy,
-                function=picked_fn, instructions=ran,
-                solver_queries=solver_stats.queries - solver_base,
-                static_answers=solver_stats.static_answers - static_base,
-            )
 
         for succ in successors:
             if is_goal(succ):
@@ -359,7 +264,7 @@ def explore_frontier(
             status = succ.status
             if status == "running":
                 if succ is not state:
-                    states_seen += 1
+                    stats.states_explored += 1
                 enqueue(succ, fresh=succ is not state)
                 continue
             if status == "bug":
@@ -369,9 +274,7 @@ def explore_frontier(
                 stats.paths_completed += 1
             else:
                 stats.paths_infeasible += 1
-            if recording:
-                record_end(succ, status)
-            if status == "bug" and on_event is not None:
-                emit("bug", detail=succ.bug.summary() if succ.bug else "")
+            if observer is not None:
+                observer.end(succ, status)
 
     return finish(None, "exhausted")

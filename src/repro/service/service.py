@@ -70,9 +70,15 @@ from ..core.synthesis import (
     search_from_setup,
 )
 from ..lang import compile_source
-from ..obs import DEFAULT_TIME_BUCKETS, FlightRecorder, MetricsRegistry, Tracer
+from ..obs import (
+    DEFAULT_TIME_BUCKETS,
+    FlightRecorder,
+    MetricsRegistry,
+    SearchObserver,
+    Tracer,
+)
 from ..schema import canonical_json_bytes, content_digest
-from ..search import EventCallback, StopPredicate
+from ..search import StopPredicate
 from ..solver import CounterexampleCache, Solver
 from ..store import ArtifactStore
 from ..symbex.executor import ExecStats
@@ -810,51 +816,6 @@ class ReproService:
                                  report, config)
             return
 
-        # Per-job tracer: jobs on one program share a solver, so the solver
-        # itself is never instrumented here (a shared tracer would mix
-        # concurrent jobs' queries); phase and quantum spans are per-run.
-        tracer = Tracer() if self.trace_jobs else None
-        job_span = (tracer.begin(f"job:{job_id}", "job",
-                                 {"program": program.key,
-                                  "bug_type": report.bug_type})
-                    if tracer is not None else None)
-        # Per-job flight recorder, same sharing rules as the tracer: the
-        # shared solver is never instrumented, only this job's search loop.
-        flight = FlightRecorder() if self.record_flight else None
-
-        setup = build_search_setup(
-            program.module, report, config,
-            statics=program.statics, solver=program.solver,
-            tracer=tracer, flight=flight,
-        )
-
-        # Job bookkeeping (checkpoint restore, state persist) is timed
-        # under its own span so the trace attributes the gap between
-        # phase:static and phase:search instead of leaving it dark.
-        admit_span = (tracer.begin("job.admit", "span")
-                      if tracer is not None else None)
-        frontier = None
-        count_frontier = True
-        prior = None
-        checkpoint_digest = record.artifacts.get("checkpoint")
-        if checkpoint_digest is not None:
-            from ..distrib import ExplorationCheckpoint
-            from ..distrib.snapshot import restore_states
-
-            prior = ExplorationCheckpoint.from_dict(
-                self.store.get_json(checkpoint_digest)
-            )
-            frontier = restore_states(prior.frontier)
-            count_frontier = False
-
-        with self._cv:
-            record.transition(SEARCHING,
-                              detail=f"resuming {len(frontier)} frontier "
-                                     f"state(s)" if frontier else "")
-            self._persist(record)
-        if tracer is not None:
-            tracer.finish(admit_span, {"resumed": frontier is not None})
-
         def on_progress(event) -> None:
             if event.kind in ("progress", "bug"):
                 with self._lock:
@@ -864,27 +825,56 @@ class ReproService:
         def should_stop() -> bool:
             return cancel.is_set() or self._interrupt.is_set()
 
-        result = search_from_setup(
-            program.module, setup, config,
-            frontier=frontier, count_frontier=count_frontier,
-            on_progress=on_progress, should_stop=should_stop,
-            tracer=tracer, flight=flight,
+        # Per-job observer: jobs on one program share a solver, so the
+        # solver itself is never instrumented here (a shared tracer would
+        # mix concurrent jobs' queries); the tracer and flight recorder see
+        # only this job's phases and search loop.
+        observer = SearchObserver(
+            tracer=Tracer() if self.trace_jobs else None,
+            flight=FlightRecorder() if self.record_flight else None,
+            on_event=on_progress,
         )
+        with observer.phase(f"job:{job_id}", "job",
+                            {"program": program.key,
+                             "bug_type": report.bug_type}) as job_span:
+            setup = build_search_setup(
+                program.module, report, config,
+                statics=program.statics, solver=program.solver,
+                observer=observer,
+            )
+            # Job bookkeeping (checkpoint restore, state persist) is timed
+            # under its own span so the trace attributes the gap between
+            # phase:static and phase:search instead of leaving it dark.
+            with observer.phase("job.admit", "span") as admit_span:
+                frontier, prior = self._restore_frontier(record)
+                with self._cv:
+                    record.transition(SEARCHING,
+                                      detail=f"resuming {len(frontier)} "
+                                             f"frontier state(s)"
+                                      if frontier else "")
+                    self._persist(record)
+                if admit_span is not None:
+                    admit_span.attrs["resumed"] = frontier is not None
+            result = search_from_setup(
+                program.module, setup, config,
+                frontier=frontier, count_frontier=frontier is None,
+                should_stop=should_stop, observer=observer,
+            )
+            if job_span is not None:
+                job_span.attrs.update(found=result.found,
+                                      reason=result.reason,
+                                      instructions=result.instructions,
+                                      states=result.states_explored)
         program.absorb_executor(setup.executor)
         trace_digest = None
-        if tracer is not None:
-            tracer.finish(job_span, {
-                "found": result.found,
-                "reason": result.reason,
-                "instructions": result.instructions,
-                "states": result.states_explored,
-            })
+        if observer.tracer is not None:
             trace_digest = self.store.put_bytes(
-                canonical_json_bytes(tracer.to_document(
+                canonical_json_bytes(observer.tracer.to_document(
                     meta={"job_id": job_id, "program": program.key}
                 )),
                 kind="trace",
             )
+        flight = observer.flight
         flight_digest = None
         flight_counts = None
         if flight is not None:
@@ -896,7 +886,7 @@ class ReproService:
                 kind="searchlog",
             )
             flight_counts = flight.counts()
-        self._absorb_obs(tracer, flight)
+        self._absorb_obs(observer)
         if prior is not None:
             result.instructions += prior.instructions
             result.states_explored += prior.states_explored
@@ -954,6 +944,18 @@ class ReproService:
             self._persist(record)
             self._cv.notify_all()
 
+    def _restore_frontier(self, record: JobRecord):
+        """``(frontier, checkpoint)`` of an interrupted job being resumed,
+        or ``(None, None)`` for a fresh job."""
+        digest = record.artifacts.get("checkpoint")
+        if digest is None:
+            return None, None
+        from ..distrib import ExplorationCheckpoint
+        from ..distrib.snapshot import restore_states
+
+        prior = ExplorationCheckpoint.from_dict(self.store.get_json(digest))
+        return restore_states(prior.frontier), prior
+
     def _execute_repair(self, job_id: str, record: JobRecord,
                         cancel: threading.Event, work: _Work,
                         program: ServiceProgram, report: BugReport,
@@ -985,7 +987,8 @@ class ReproService:
         result = repair(
             program.module, report, config=repair_config,
             statics=program.statics, solver=program.solver,
-            on_progress=on_progress, should_stop=should_stop,
+            observer=SearchObserver(on_event=on_progress),
+            should_stop=should_stop,
         )
 
         with self._cv:
@@ -1062,26 +1065,23 @@ class ReproService:
     def _persist(self, record: JobRecord) -> None:
         self.store.save_job(record.job_id, record.to_dict())
 
-    def _absorb_obs(self, tracer: Optional[Tracer],
-                    flight: Optional[FlightRecorder]) -> None:
+    def _absorb_obs(self, observer: Optional[SearchObserver]) -> None:
         """Fold a finished job's observer buffer pressure into the
         cumulative ``esd_obs_*`` sources (dropped counts sum; high-water
         marks keep the max across jobs)."""
-        if tracer is None and flight is None:
+        if observer is None:
             return
+        tracer, flight = observer.tracer, observer.flight
+        totals = self._obs_totals
         with self._lock:
             if tracer is not None:
-                self._obs_totals["trace_dropped_spans"] += tracer.dropped
-                self._obs_totals["trace_span_high_water"] = max(
-                    self._obs_totals["trace_span_high_water"],
-                    tracer.high_water,
-                )
+                totals["trace_dropped_spans"] += tracer.dropped
+                totals["trace_span_high_water"] = max(
+                    totals["trace_span_high_water"], tracer.high_water)
             if flight is not None:
-                self._obs_totals["flight_dropped_records"] += flight.dropped
-                self._obs_totals["flight_record_high_water"] = max(
-                    self._obs_totals["flight_record_high_water"],
-                    flight.high_water,
-                )
+                totals["flight_dropped_records"] += flight.dropped
+                totals["flight_record_high_water"] = max(
+                    totals["flight_record_high_water"], flight.high_water)
 
     # -- the inline path (ReproSession's engine) -------------------------------
 
@@ -1091,14 +1091,12 @@ class ReproService:
         report: BugReport,
         config: Optional[ESDConfig] = None,
         *,
-        on_progress: Optional[EventCallback] = None,
         should_stop: Optional[StopPredicate] = None,
         workers: int = 1,
         checkpoint_path: Optional[str] = None,
         checkpoint_interval: float = 5.0,
         handle_signals: bool = False,
-        tracer: Optional[Tracer] = None,
-        flight: Optional[FlightRecorder] = None,
+        observer: Optional[SearchObserver] = None,
     ) -> SynthesisResult:
         """Synchronous synthesis on the caller's thread against the shared
         program context -- the engine behind ``ReproSession.synthesize``.
@@ -1107,8 +1105,8 @@ class ReproService:
         :class:`~repro.distrib.ParallelExplorer`; ``should_stop`` callers
         (portfolio variants on threads) always get the serial engine, since
         forking a pool from a multi-threaded parent is not safe.  The
-        flight recorder covers the serial engine only -- a pool run's picks
-        happen in the worker processes, so ``flight`` is ignored there.
+        observer's flight recorder covers the serial engine only -- a pool
+        run's picks happen in the worker processes.
         """
         config = config or self.default_config
         use_pool = workers > 1 or checkpoint_path is not None
@@ -1132,11 +1130,10 @@ class ReproService:
                     workers=workers,
                     statics=program.statics,
                     solver=program.solver,
-                    on_event=on_progress,
+                    observer=observer,
                     checkpoint_path=checkpoint_path,
                     checkpoint_interval=checkpoint_interval,
                     handle_signals=handle_signals,
-                    tracer=tracer,
                 )
                 return pool.run()
         # Module-global call (not a direct-import binding) so tests can
@@ -1146,9 +1143,8 @@ class ReproService:
         result = esd_synthesize(
             program.module, report, config,
             statics=program.statics, solver=program.solver,
-            on_progress=on_progress, should_stop=should_stop,
-            tracer=tracer, flight=flight,
+            should_stop=should_stop, observer=observer,
             executor_sink=program.absorb_executor,
         )
-        self._absorb_obs(tracer, flight)
+        self._absorb_obs(observer)
         return result

@@ -167,16 +167,12 @@ class Executor:
         self.wp = wp
         self.wp_audit = wp_audit
         self.prune_stats = StaticPruneStats()
-        # Optional repro.obs tracer, attached by the owner of the search
-        # (never consulted in step() -- the hot loop stays telemetry-free;
-        # bug discoveries are rare enough to record as instant marks).
-        self.tracer = None
-        # Optional repro.obs flight recorder, attached the same way.  The
-        # engine does the per-pick recording from outside; the executor
-        # only contributes rare instant marks (bug discoveries), and
-        # attributes its kills by tagging ``state.meta['killed']`` at the
-        # pruning sites, which the engine reads when the state comes back.
-        self.flight = None
+        # Optional repro.obs SearchObserver, attached by the owner of the
+        # search.  Never consulted in step() -- the hot loop stays
+        # telemetry-free; the engine reports picks from outside, and the
+        # executor only marks bug discoveries (rare) and tags its kills in
+        # ``state.meta['killed']`` for the engine to attribute.
+        self.observer = None
         # Called as ``hook(state, function, block)`` whenever a live state's
         # running thread is found in a different block after a step (the
         # searcher's intermediate-goal tracking; set by the engine).
@@ -371,14 +367,8 @@ class Executor:
             fault_value=fault_value,
             cycle=cycle or [],
         )
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.mark(f"bug:{kind.value}", "bug",
-                        {"line": instr.line, "tid": state.current_tid})
-        flight = self.flight
-        if flight is not None and flight.enabled:
-            flight.mark(f"bug:{kind.value}",
-                        f"line={instr.line} tid={state.current_tid}")
+        if self.observer is not None:
+            self.observer.bug(kind.value, instr.line, state.current_tid)
 
     # ------------------------------------------------------------------
     # Value arithmetic

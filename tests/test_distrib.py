@@ -23,6 +23,7 @@ from repro.distrib import (
     ParallelExplorer,
     parallel_supported,
 )
+from repro.obs import SearchObserver
 from repro.search import SearchBudget, explore
 from repro.solver import CounterexampleCache, Result, Solution
 from repro.workloads import get
@@ -61,11 +62,13 @@ class TestParallelSynthesis:
         module, report, _ = hard
         events = []
         pool = ParallelExplorer(module, report, ESDConfig(), workers=2,
-                                on_event=events.append)
+                                observer=SearchObserver(on_event=events.append))
         result = pool.run()
         assert result.found and result.reason == "goal"
         kinds = [e.kind for e in events]
         assert kinds[0] == "start" and kinds[-1] == "done"
+        # The seed search's own start/done stay inside the pool's bracket.
+        assert kinds.count("start") == kinds.count("done") == 1
         # Worker/shard attribution on the quantum progress events.
         assert any(e.kind == "progress" and e.worker >= 0 for e in events)
         assert result.instructions > 0 and result.states_explored > 0
@@ -166,8 +169,17 @@ class TestCheckpointResume:
         if proc.poll() is None:
             # Checkpoint exists and the search is still running: kill -9.
             assert ckpt.exists()
+            workers = _child_pids(proc.pid)
             proc.send_signal(signal.SIGKILL)
             proc.wait(timeout=10)
+            if PROC_FS:
+                # The pool workers notice their dead master and exit.
+                assert workers
+                deadline = time.monotonic() + 5.0
+                while (any(_alive(pid) for pid in workers)
+                       and time.monotonic() < deadline):
+                    time.sleep(0.05)
+                assert not [pid for pid in workers if _alive(pid)]
             assert repro_main(["resume", str(ckpt), "-o", str(out)]) == 0
             resumed = ExecutionFile.load(out)
         else:
@@ -179,6 +191,32 @@ class TestCheckpointResume:
         # artifact minus that label (inputs, schedule, bug identity).
         assert (resumed.fingerprint()[1:]
                 == serial.execution_file.fingerprint()[1:])
+
+
+PROC_FS = Path("/proc/self/stat").exists()
+
+
+def _proc_stat(pid: int) -> list[str]:
+    """The ``/proc/PID/stat`` fields after the command name, or []."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return []
+    return stat.rsplit(")", 1)[1].split()
+
+
+def _child_pids(parent: int) -> list[int]:
+    if not PROC_FS:
+        return []
+    return [int(entry) for entry in os.listdir("/proc") if entry.isdigit()
+            and _proc_stat(int(entry))[1:2] == [str(parent)]]
+
+
+def _alive(pid: int) -> bool:
+    """Running or sleeping; an exited process may linger as a zombie
+    until something reaps it."""
+    state = _proc_stat(pid)[:1]
+    return bool(state) and state != ["Z"]
 
 
 class TestBudgetAccounting:
@@ -271,7 +309,8 @@ class TestCliJson:
         data = json.loads(capsys.readouterr().out)
         assert data["workload"] == "ls1" and data["all_found"]
         assert data["session"]["distance_builds"] == 1
-        assert data["solver"]["queries"] > 0
+        metrics = data["metrics"]["metrics"]
+        assert metrics["esd_solver_queries_total"]["value"] > 0
 
     def test_synth_workers_flag(self, tmp_path, capsys):
         workload = get("ghttpd")

@@ -19,6 +19,7 @@ from repro.distrib import ParallelExplorer, parallel_supported
 from repro.obs import (
     DEFAULT_TIME_BUCKETS,
     MetricsRegistry,
+    SearchObserver,
     Tracer,
     check_metrics_document,
     check_trace_document,
@@ -405,7 +406,8 @@ class TestPoolTracing:
         workload = hard_workload(4)
         tracer = Tracer()
         pool = ParallelExplorer(workload.compile(), workload.make_report(),
-                                ESDConfig(), workers=2, tracer=tracer)
+                                ESDConfig(), workers=2,
+                                observer=SearchObserver(tracer=tracer))
         assert pool.run().found
         doc = tracer.to_document()
         check_trace_document(doc)
@@ -543,5 +545,3 @@ class TestCliObservability:
         snap = check_metrics_document(data["metrics"])
         queries = snap["metrics"]["esd_solver_queries_total"]["value"]
         assert queries > 0
-        # Legacy keys are derived from the same snapshot, not raw reads.
-        assert data["solver"]["queries"] == queries
