@@ -79,9 +79,6 @@ paper-section-8 validation) and writes the validated patch as JSON;
 localizer consumes.  ``repro submit --repair`` queues the same pipeline as
 a service job whose patch lands in the artifact store (``repro fetch
 --kind patch``).
-
-``esdsynth`` and ``esdplay`` remain as deprecated shims over ``repro synth``
-and ``repro play``.
 """
 
 from __future__ import annotations
@@ -185,7 +182,7 @@ def _progress_printer(label: str):
 
 
 # ---------------------------------------------------------------------------
-# Subcommand implementations (shared with the deprecated shims)
+# Subcommand implementations
 # ---------------------------------------------------------------------------
 
 
@@ -215,19 +212,15 @@ def _finish_synth(result, args: argparse.Namespace, label: str) -> int:
     return 0
 
 
-def _run_synth(args: argparse.Namespace, label: str) -> int:
-    on_progress = (
-        _progress_printer(label) if getattr(args, "progress", False) else None
-    )
-    trace_path = getattr(args, "trace", None)
-    flight_path = getattr(args, "flight", None)
+def _run_synth(args: argparse.Namespace) -> int:
+    label = "repro synth"
+    on_progress = _progress_printer(label) if args.progress else None
     try:
         report = _load_report(args.coredump)
         if args.bug_type:
             report.bug_type = args.bug_type
-        session = _make_session(args.program, trace=trace_path is not None,
-                                flight=flight_path is not None,
-                                lang=getattr(args, "lang", None))
+        session = _make_session(args.program, trace=args.trace is not None,
+                                flight=args.flight is not None, lang=args.lang)
     except _INPUT_ERRORS as exc:
         print(f"{label}: {_describe(exc)}", file=sys.stderr)
         return 1
@@ -237,12 +230,12 @@ def _run_synth(args: argparse.Namespace, label: str) -> int:
         result = session.synthesize(
             report, _make_config(args),
             on_progress=on_progress,
-            workers=getattr(args, "workers", None),
-            checkpoint_path=getattr(args, "checkpoint", None),
-            checkpoint_interval=getattr(args, "checkpoint_interval", 5.0),
+            workers=args.workers,
+            checkpoint_path=args.checkpoint,
+            checkpoint_interval=args.checkpoint_interval,
             # With a checkpoint path, SIGTERM/SIGINT write one final
             # checkpoint and exit cleanly instead of losing the search.
-            handle_signals=bool(getattr(args, "checkpoint", None)),
+            handle_signals=bool(args.checkpoint),
         )
     except UnknownStrategyError as exc:
         print(f"{label}: {exc}", file=sys.stderr)
@@ -253,24 +246,24 @@ def _run_synth(args: argparse.Namespace, label: str) -> int:
     except GoalError as exc:
         print(f"{label}: {exc}", file=sys.stderr)
         return 1
-    if trace_path is not None:
+    if args.trace is not None:
         try:
-            session.save_trace(trace_path)
+            session.save_trace(args.trace)
         except OSError as exc:
-            print(f"{label}: cannot write {trace_path}: {exc}",
+            print(f"{label}: cannot write {args.trace}: {exc}",
                   file=sys.stderr)
             return 1
-        print(f"{label}: wrote span trace to {trace_path} "
-              f"(inspect with `repro trace {trace_path}`)", file=sys.stderr)
-    if flight_path is not None:
+        print(f"{label}: wrote span trace to {args.trace} "
+              f"(inspect with `repro trace {args.trace}`)", file=sys.stderr)
+    if args.flight is not None:
         try:
-            session.save_flight(flight_path)
+            session.save_flight(args.flight)
         except OSError as exc:
-            print(f"{label}: cannot write {flight_path}: {exc}",
+            print(f"{label}: cannot write {args.flight}: {exc}",
                   file=sys.stderr)
             return 1
-        print(f"{label}: wrote search flight log to {flight_path} "
-              f"(inspect with `repro explain {flight_path}`)",
+        print(f"{label}: wrote search flight log to {args.flight} "
+              f"(inspect with `repro explain {args.flight}`)",
               file=sys.stderr)
     return _finish_synth(result, args, label)
 
@@ -306,14 +299,15 @@ def _run_resume(args: argparse.Namespace, label: str) -> int:
     return _finish_synth(result, args, label)
 
 
-def _run_play(args: argparse.Namespace, label: str) -> int:
+def _run_play(args: argparse.Namespace) -> int:
+    label = "repro play"
     try:
-        session = _make_session(args.program, lang=getattr(args, "lang", None))
+        session = _make_session(args.program, lang=args.lang)
         execution = ExecutionFile.load(args.execution)
     except _INPUT_ERRORS as exc:
         print(f"{label}: {_describe(exc)}", file=sys.stderr)
         return 1
-    if getattr(args, "coverage", None) is not None:
+    if args.coverage is not None:
         return _run_play_coverage(session, execution, args, label)
     result = session.play_back(execution, mode=args.mode)
     if result.bug is not None:
@@ -692,8 +686,7 @@ def _run_bench(args: argparse.Namespace, label: str) -> int:
 
     if getattr(args, "json", False):
         # All counters read through one unified-registry snapshot (the
-        # ``esd-metrics-v1`` schema every bench tool emits); the legacy
-        # ``solver`` block is derived from the same snapshot.
+        # ``esd-metrics-v1`` schema every bench tool emits).
         from .obs import unified_registry
 
         registry = unified_registry(solver=session.solver,
@@ -719,21 +712,6 @@ def _run_bench(args: argparse.Namespace, label: str) -> int:
                             "esd_static_cache_hits_total")},
             "amortization": (cold_static / warm_static
                              if warm_static > 0 else None),
-            "solver": {
-                "queries": counter("esd_solver_queries_total"),
-                "cache_hits": counter("esd_solver_cache_hits_total"),
-                "exact_hits": counter("esd_solver_cache_exact_hits_total"),
-                "unsat_superset_hits": counter(
-                    "esd_solver_cache_unsat_superset_hits_total"),
-                "sat_subset_hits": counter(
-                    "esd_solver_cache_sat_subset_hits_total"),
-                "unknown_hits": counter(
-                    "esd_solver_cache_unknown_hits_total"),
-                "search_nodes": counter("esd_solver_search_nodes_total"),
-                "fastpath_hits": counter("esd_solver_fastpath_hits_total"),
-                "fastpath_misses": counter(
-                    "esd_solver_fastpath_misses_total"),
-            },
             "metrics": snap,
         }, indent=2))
         return finish(0 if ok else 1)
@@ -1561,11 +1539,11 @@ def repro_main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "synth":
-        return _run_synth(args, "repro synth")
+        return _run_synth(args)
     if args.command == "resume":
         return _run_resume(args, "repro resume")
     if args.command == "play":
-        return _run_play(args, "repro play")
+        return _run_play(args)
     if args.command == "repair":
         return _run_repair(args, "repro repair")
     if args.command == "lint":
@@ -1594,37 +1572,6 @@ def repro_main(argv: list[str] | None = None) -> int:
         return _run_explain(args, "repro explain")
     parser.error(f"unknown command {args.command!r}")
     return 2  # pragma: no cover
-
-
-# ---------------------------------------------------------------------------
-# Deprecated shims
-# ---------------------------------------------------------------------------
-
-
-def esdsynth_main(argv: list[str] | None = None) -> int:
-    """Deprecated: use ``repro synth``."""
-    parser = argparse.ArgumentParser(
-        prog="esdsynth",
-        description="[deprecated: use `repro synth`] Synthesize an execution "
-                    "that reproduces a reported bug.",
-    )
-    _add_synth_args(parser)
-    args = parser.parse_args(argv)
-    print("esdsynth: deprecated, use `repro synth`", file=sys.stderr)
-    return _run_synth(args, "esdsynth")
-
-
-def esdplay_main(argv: list[str] | None = None) -> int:
-    """Deprecated: use ``repro play``."""
-    parser = argparse.ArgumentParser(
-        prog="esdplay",
-        description="[deprecated: use `repro play`] Deterministically play "
-                    "back a synthesized execution.",
-    )
-    _add_play_args(parser)
-    args = parser.parse_args(argv)
-    print("esdplay: deprecated, use `repro play`", file=sys.stderr)
-    return _run_play(args, "esdplay")
 
 
 if __name__ == "__main__":  # pragma: no cover

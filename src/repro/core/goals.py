@@ -95,7 +95,7 @@ class SynthesisGoal:
 
 
 def extract_goal(module: ir.Module, report: BugReport) -> SynthesisGoal:
-    """Compute the synthesis goal from a bug report (``esdsynth`` step 1)."""
+    """Compute the synthesis goal from a bug report (``repro synth`` step 1)."""
     dump = report.coredump
     if dump.corrupted:
         # The ghttpd case: reconstruct the smashed call stack from the call

@@ -8,7 +8,7 @@ the schedule that produced the dump are *not* part of it, mirroring the
 paper's zero-tracing premise.
 
 Dumps serialize to plain dicts (JSON-able) so they can be written next to a
-bug report, passed to ``esdsynth``, or corrupted/repaired for the ghttpd
+bug report, passed to ``repro synth``, or corrupted/repaired for the ghttpd
 scenario (section 7.1: "whose coredump contained a corrupt call stack").
 """
 
@@ -134,7 +134,7 @@ class Coredump:
 @dataclass(slots=True)
 class BugReport:
     """What a developer receives: the coredump plus a bug-type hint, the two
-    inputs of ``esdsynth`` (section 8's usage model)."""
+    inputs of ``repro synth`` (section 8's usage model)."""
 
     coredump: Coredump
     bug_type: str  # 'crash' | 'deadlock' | 'race'

@@ -349,7 +349,7 @@ class TestReproCli:
 
     def test_synth_respects_instruction_budget_default(self, tac_files,
                                                        monkeypatch):
-        # Regression: the old esdsynth rebuilt SearchBudget(max_seconds=...),
+        # Regression: the old CLI rebuilt SearchBudget(max_seconds=...),
         # silently dropping the 20M-instruction default to 2M.
         program, dump, output = tac_files
         seen = {}

@@ -1,10 +1,10 @@
-"""Tests for the esdsynth / esdplay command-line front ends."""
+"""Tests for the ``repro`` command-line front end."""
 
 import json
 
 import pytest
 
-from repro.cli import esdplay_main, esdsynth_main
+from repro.cli import repro_main
 from repro.workloads import get
 
 
@@ -22,7 +22,7 @@ def tac_files(tmp_path):
 class TestEsdSynth:
     def test_synthesizes_and_writes_execution(self, tac_files, capsys):
         program, dump, output = tac_files
-        code = esdsynth_main([str(dump), str(program), "--crash", "-o", str(output)])
+        code = repro_main(["synth", str(dump), str(program), "--crash", "-o", str(output)])
         assert code == 0
         assert output.exists()
         data = json.loads(output.read_text())
@@ -33,7 +33,7 @@ class TestEsdSynth:
 
     def test_bug_type_from_report_when_flag_omitted(self, tac_files):
         program, dump, output = tac_files
-        code = esdsynth_main([str(dump), str(program), "-o", str(output)])
+        code = repro_main(["synth", str(dump), str(program), "-o", str(output)])
         assert code == 0
 
     def test_failure_exit_code(self, tmp_path, capsys):
@@ -48,8 +48,8 @@ class TestEsdSynth:
         program.write_text(fixed)
         dump = tmp_path / "report.json"
         dump.write_text(json.dumps(report.to_dict()))
-        code = esdsynth_main(
-            [str(dump), str(program), "--crash", "--max-seconds", "10",
+        code = repro_main(
+            ["synth", str(dump), str(program), "--crash", "--max-seconds", "10",
              "-o", str(tmp_path / "x.json")]
         )
         assert code == 1
@@ -59,15 +59,15 @@ class TestEsdSynth:
 class TestEsdPlay:
     def test_playback_reproduces(self, tac_files, capsys):
         program, dump, output = tac_files
-        assert esdsynth_main([str(dump), str(program), "--crash", "-o", str(output)]) == 0
-        code = esdplay_main([str(program), str(output)])
+        assert repro_main(["synth", str(dump), str(program), "--crash", "-o", str(output)]) == 0
+        code = repro_main(["play", str(program), str(output)])
         assert code == 0
         assert "reproduced" in capsys.readouterr().out
 
     def test_happens_before_mode(self, tac_files):
         program, dump, output = tac_files
-        assert esdsynth_main([str(dump), str(program), "--crash", "-o", str(output)]) == 0
-        assert esdplay_main([str(program), str(output), "--mode", "happens-before"]) == 0
+        assert repro_main(["synth", str(dump), str(program), "--crash", "-o", str(output)]) == 0
+        assert repro_main(["play", str(program), str(output), "--mode", "happens-before"]) == 0
 
 
 class TestTriageDb:
