@@ -50,6 +50,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .. import ir
+from ..ir.builder import IRBuilder
 from ..ir.values import INT_MAX, INT_MIN
 from .errors import PythonCompileError, UnsupportedPythonError
 
@@ -108,8 +109,9 @@ def compile_python_source(source: str, name: str = "module") -> ir.Module:
     return module
 
 
-class _PyCompiler:
+class _PyCompiler(IRBuilder[pyast.stmt, pyast.expr]):
     def __init__(self, tree: pyast.Module, source: str, name: str) -> None:
+        super().__init__()
         self._tree = tree
         self._module = ir.Module(name)
         self._module.source_lines = source.splitlines()
@@ -117,13 +119,9 @@ class _PyCompiler:
         self._imports: set[str] = set()
         self._func_defs: dict[str, pyast.FunctionDef] = {}
         # Per-function state:
-        self._func: Optional[ir.Function] = None
-        self._block: Optional[ir.BasicBlock] = None
         self._locals: dict[str, _Symbol] = {}
         self._global_decls: set[str] = set()
         self._threads: dict[str, _PendingThread] = {}
-        self._temp_counter = 0
-        self._label_counter = 0
         # (break_label, continue_label, with_depth at loop entry)
         self._loop_stack: list[tuple[str, str, int]] = []
         self._with_stack: list[ir.Value] = []  # held lock addresses
@@ -278,15 +276,12 @@ class _PyCompiler:
 
     def _compile_function(self, node: pyast.FunctionDef) -> None:
         params = [a.arg for a in node.args.args]
-        self._func = self._module.function(node.name, params)
+        self._begin_function(self._module.function(node.name, params))
         self._locals = {}
         self._global_decls = set()
         self._threads = {}
-        self._temp_counter = 0
-        self._label_counter = 0
         self._loop_stack = []
         self._with_stack = []
-        self._block = self._func.block("entry")
 
         assigned = self._scan_locals(node)
         for param in params:
@@ -309,9 +304,7 @@ class _PyCompiler:
                 and isinstance(body[0].value.value, str):
             body = body[1:]  # docstring
         self._compile_body(body)
-        if self._block is not None and not self._block.terminated:
-            self._emit(ir.Ret(ir.Const(0), line=node.lineno))
-        self._func = None
+        self._end_function(node.lineno)
 
     def _scan_locals(self, node: pyast.FunctionDef) -> list[str]:
         """Python scoping: a name assigned anywhere in the function (and not
@@ -341,28 +334,7 @@ class _PyCompiler:
         params = {a.arg for a in node.args.args}
         return [n for n in assigned if n not in params]
 
-    # -- plumbing ------------------------------------------------------------
-
-    def _emit(self, instr: ir.Instr) -> None:
-        assert self._block is not None
-        if self._block.terminated:
-            self._block = self._new_block("dead")
-        self._block.append(instr)
-
-    def _temp(self) -> ir.Reg:
-        self._temp_counter += 1
-        return ir.Reg(f"t{self._temp_counter}")
-
-    def _new_label(self, hint: str) -> str:
-        self._label_counter += 1
-        return f"{hint}{self._label_counter}"
-
-    def _new_block(self, hint: str) -> ir.BasicBlock:
-        assert self._func is not None
-        return self._func.block(self._new_label(hint))
-
-    def _switch_to(self, block: ir.BasicBlock) -> None:
-        self._block = block
+    # -- symbols -------------------------------------------------------------
 
     def _declare_local(self, name: str, line: int) -> _Symbol:
         addr = ir.Reg(f"{name}.addr")
@@ -389,10 +361,6 @@ class _PyCompiler:
 
     # -- statements ----------------------------------------------------------
 
-    def _compile_body(self, stmts: list[pyast.stmt]) -> None:
-        for stmt in stmts:
-            self._compile_statement(stmt)
-
     def _compile_statement(self, stmt: pyast.stmt) -> None:
         if isinstance(stmt, pyast.Assign):
             self._compile_assign(stmt)
@@ -408,7 +376,7 @@ class _PyCompiler:
         elif isinstance(stmt, pyast.Expr):
             self._compile_expr_stmt(stmt)
         elif isinstance(stmt, pyast.If):
-            self._compile_if(stmt)
+            self._lower_if(stmt.test, stmt.body, stmt.orelse, stmt.lineno)
         elif isinstance(stmt, pyast.While):
             self._compile_while(stmt)
         elif isinstance(stmt, pyast.For):
@@ -618,43 +586,20 @@ class _PyCompiler:
                 or f"assert at line {stmt.lineno}"
         self._emit(ir.Assert(cond, message, line=stmt.lineno))
 
-    def _compile_if(self, stmt: pyast.If) -> None:
-        then_block = self._new_block("if.then")
-        end_block = self._new_block("if.end")
-        else_block = self._new_block("if.else") if stmt.orelse else end_block
-        self._compile_condition(stmt.test, then_block.label, else_block.label)
-
-        self._switch_to(then_block)
-        self._compile_body(stmt.body)
-        if self._block is not None and not self._block.terminated:
-            self._emit(ir.Br(end_block.label, line=stmt.lineno))
-
-        if stmt.orelse:
-            self._switch_to(else_block)
-            self._compile_body(stmt.orelse)
-            if self._block is not None and not self._block.terminated:
-                self._emit(ir.Br(end_block.label, line=stmt.lineno))
-
-        self._switch_to(end_block)
-
     def _compile_while(self, stmt: pyast.While) -> None:
         if stmt.orelse:
             raise UnsupportedPythonError.for_node(
                 stmt, "while/else is not supported"
             )
-        head = self._new_block("while.head")
-        body = self._new_block("while.body")
-        end = self._new_block("while.end")
-        self._emit(ir.Br(head.label, line=stmt.lineno))
-        self._switch_to(head)
-        self._compile_condition(stmt.test, body.label, end.label)
-        self._switch_to(body)
-        self._loop_stack.append((end.label, head.label, len(self._with_stack)))
-        self._compile_body(stmt.body)
+        self._lower_while(stmt.test, stmt.body, stmt.lineno)
+
+    def _compile_loop_body(self, body: list[pyast.stmt], break_label: str,
+                           continue_label: str) -> None:
+        self._loop_stack.append(
+            (break_label, continue_label, len(self._with_stack))
+        )
+        self._compile_body(body)
         self._loop_stack.pop()
-        if self._block is not None and not self._block.terminated:
-            self._emit(ir.Br(head.label, line=stmt.lineno))
-        self._switch_to(end)
 
     def _compile_for(self, stmt: pyast.For) -> None:
         if stmt.orelse:
@@ -723,13 +668,8 @@ class _PyCompiler:
         visible = self._temp()
         self._emit(ir.Load(visible, iter_addr, line=line))
         self._emit(ir.Store(target.address, visible, line=line))
-        self._loop_stack.append(
-            (end.label, step_block.label, len(self._with_stack))
-        )
-        self._compile_body(stmt.body)
-        self._loop_stack.pop()
-        if self._block is not None and not self._block.terminated:
-            self._emit(ir.Br(step_block.label, line=line))
+        self._compile_loop_body(stmt.body, end.label, step_block.label)
+        self._branch_if_open(step_block.label, line)
         self._switch_to(step_block)
         bumped_src = self._temp()
         self._emit(ir.Load(bumped_src, iter_addr, line=line))
@@ -763,7 +703,7 @@ class _PyCompiler:
         self._with_stack.append(symbol.address)
         self._compile_body(stmt.body)
         self._with_stack.pop()
-        if self._block is not None and not self._block.terminated:
+        if self._is_open():
             self._emit(ir.MutexUnlock(symbol.address, line=stmt.lineno))
 
     # -- conditions ----------------------------------------------------------
@@ -861,18 +801,7 @@ class _PyCompiler:
     def _compile_short_circuit_value(self, expr: pyast.expr) -> ir.Value:
         self._label_counter += 1
         result = ir.Reg(f"sc{self._label_counter}.{self._temp_counter}")
-        true_block = self._new_block("sc.true")
-        false_block = self._new_block("sc.false")
-        end_block = self._new_block("sc.end")
-        self._compile_condition(expr, true_block.label, false_block.label)
-        self._switch_to(true_block)
-        self._emit(ir.Assign(result, ir.Const(1), line=expr.lineno))
-        self._emit(ir.Br(end_block.label, line=expr.lineno))
-        self._switch_to(false_block)
-        self._emit(ir.Assign(result, ir.Const(0), line=expr.lineno))
-        self._emit(ir.Br(end_block.label, line=expr.lineno))
-        self._switch_to(end_block)
-        return result
+        return self._lower_bool_value(expr, result, expr.lineno)
 
     # -- expressions ---------------------------------------------------------
 

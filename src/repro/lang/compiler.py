@@ -19,9 +19,9 @@ want to see):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .. import ir
+from ..ir.builder import IRBuilder
 from . import ast
 from .parser import parse
 from .prelude import needed_prelude
@@ -71,19 +71,16 @@ def compile_source(source: str, name: str = "module", prelude: bool = True) -> i
     return module
 
 
-class _Compiler:
+class _Compiler(IRBuilder[ast.Stmt, ast.Expr]):
     def __init__(self, program: ast.Program, name: str) -> None:
+        super().__init__()
         self._program = program
         self._module = ir.Module(name)
         self._module.source_lines = program.source.splitlines()
         self._globals: dict[str, _Symbol] = {}
         self._func_names = {f.name for f in program.functions}
         # Per-function state:
-        self._func: Optional[ir.Function] = None
-        self._block: Optional[ir.BasicBlock] = None
         self._locals: dict[str, _Symbol] = {}
-        self._temp_counter = 0
-        self._label_counter = 0
         self._loop_stack: list[tuple[str, str]] = []  # (break, continue) labels
 
     # -- top level -----------------------------------------------------------
@@ -134,12 +131,9 @@ class _Compiler:
     def _compile_function(self, func_def: ast.FuncDef) -> None:
         if func_def.name in self._module.functions:
             raise CompileError(f"duplicate function {func_def.name!r}", func_def.line, func_def.col)
-        self._func = self._module.function(func_def.name, func_def.params)
+        self._begin_function(self._module.function(func_def.name, func_def.params))
         self._locals = {}
-        self._temp_counter = 0
-        self._label_counter = 0
         self._loop_stack = []
-        self._block = self._func.block("entry")
 
         # Spill parameters into allocas so they behave like any other local.
         for param in func_def.params:
@@ -150,33 +144,9 @@ class _Compiler:
             )
 
         self._compile_body(func_def.body)
-        if self._block is not None and not self._block.terminated:
-            self._emit(ir.Ret(ir.Const(0), line=func_def.line))
-        self._func = None
+        self._end_function(func_def.line)
 
-    # -- plumbing --------------------------------------------------------------
-
-    def _emit(self, instr: ir.Instr) -> None:
-        assert self._block is not None
-        if self._block.terminated:
-            # Unreachable code after return/break; park it in a fresh block.
-            self._block = self._new_block("dead")
-        self._block.append(instr)
-
-    def _temp(self) -> ir.Reg:
-        self._temp_counter += 1
-        return ir.Reg(f"t{self._temp_counter}")
-
-    def _new_label(self, hint: str) -> str:
-        self._label_counter += 1
-        return f"{hint}{self._label_counter}"
-
-    def _new_block(self, hint: str) -> ir.BasicBlock:
-        assert self._func is not None
-        return self._func.block(self._new_label(hint))
-
-    def _switch_to(self, block: ir.BasicBlock) -> None:
-        self._block = block
+    # -- symbols ---------------------------------------------------------------
 
     def _declare_local(self, name: str, kind: str, size: int, line: int,
                        col: int = 0) -> _Symbol:
@@ -196,10 +166,6 @@ class _Compiler:
 
     # -- statements --------------------------------------------------------------
 
-    def _compile_body(self, stmts: list[ast.Stmt]) -> None:
-        for stmt in stmts:
-            self._compile_statement(stmt)
-
     def _compile_statement(self, stmt: ast.Stmt) -> None:
         if isinstance(stmt, ast.VarDecl):
             self._compile_local_decl(stmt)
@@ -208,9 +174,9 @@ class _Compiler:
         elif isinstance(stmt, ast.ExprStmt):
             self._compile_expr(stmt.expr, want_value=False)
         elif isinstance(stmt, ast.If):
-            self._compile_if(stmt)
+            self._lower_if(stmt.cond, stmt.then_body, stmt.else_body, stmt.line)
         elif isinstance(stmt, ast.While):
-            self._compile_while(stmt)
+            self._lower_while(stmt.cond, stmt.body, stmt.line)
         elif isinstance(stmt, ast.For):
             self._compile_for(stmt)
         elif isinstance(stmt, ast.Return):
@@ -253,39 +219,11 @@ class _Compiler:
         addr = self._compile_lvalue(stmt.target)
         self._emit(ir.Store(addr, value, line=stmt.line))
 
-    def _compile_if(self, stmt: ast.If) -> None:
-        then_block = self._new_block("if.then")
-        end_block = self._new_block("if.end")
-        else_block = self._new_block("if.else") if stmt.else_body else end_block
-        self._compile_condition(stmt.cond, then_block.label, else_block.label)
-
-        self._switch_to(then_block)
-        self._compile_body(stmt.then_body)
-        if self._block is not None and not self._block.terminated:
-            self._emit(ir.Br(end_block.label, line=stmt.line))
-
-        if stmt.else_body:
-            self._switch_to(else_block)
-            self._compile_body(stmt.else_body)
-            if self._block is not None and not self._block.terminated:
-                self._emit(ir.Br(end_block.label, line=stmt.line))
-
-        self._switch_to(end_block)
-
-    def _compile_while(self, stmt: ast.While) -> None:
-        head = self._new_block("while.head")
-        body = self._new_block("while.body")
-        end = self._new_block("while.end")
-        self._emit(ir.Br(head.label, line=stmt.line))
-        self._switch_to(head)
-        self._compile_condition(stmt.cond, body.label, end.label)
-        self._switch_to(body)
-        self._loop_stack.append((end.label, head.label))
-        self._compile_body(stmt.body)
+    def _compile_loop_body(self, body: list[ast.Stmt], break_label: str,
+                           continue_label: str) -> None:
+        self._loop_stack.append((break_label, continue_label))
+        self._compile_body(body)
         self._loop_stack.pop()
-        if self._block is not None and not self._block.terminated:
-            self._emit(ir.Br(head.label, line=stmt.line))
-        self._switch_to(end)
 
     def _compile_for(self, stmt: ast.For) -> None:
         if stmt.init is not None:
@@ -301,11 +239,8 @@ class _Compiler:
         else:
             self._emit(ir.Br(body.label, line=stmt.line))
         self._switch_to(body)
-        self._loop_stack.append((end.label, step.label))
-        self._compile_body(stmt.body)
-        self._loop_stack.pop()
-        if self._block is not None and not self._block.terminated:
-            self._emit(ir.Br(step.label, line=stmt.line))
+        self._compile_loop_body(stmt.body, end.label, step.label)
+        self._branch_if_open(step.label, stmt.line)
         self._switch_to(step)
         if stmt.step is not None:
             self._compile_statement(stmt.step)
@@ -423,18 +358,7 @@ class _Compiler:
         """Compile ``a && b`` / ``a || b`` in value position via control flow."""
         result = ir.Reg(f"sc{self._label_counter}.{self._temp_counter}")
         self._temp_counter += 1
-        true_block = self._new_block("sc.true")
-        false_block = self._new_block("sc.false")
-        end_block = self._new_block("sc.end")
-        self._compile_condition(expr, true_block.label, false_block.label)
-        self._switch_to(true_block)
-        self._emit(ir.Assign(result, ir.Const(1), line=expr.line))
-        self._emit(ir.Br(end_block.label, line=expr.line))
-        self._switch_to(false_block)
-        self._emit(ir.Assign(result, ir.Const(0), line=expr.line))
-        self._emit(ir.Br(end_block.label, line=expr.line))
-        self._switch_to(end_block)
-        return result
+        return self._lower_bool_value(expr, result, expr.line)
 
     # -- calls --------------------------------------------------------------------
 
