@@ -20,6 +20,16 @@ The strategy: help each thread "find" its outer lock as quickly as possible.
 Thread identity in the report does not transfer to the synthesized run, so
 inner locks are matched by *location* (the lock statement's InstrRef), which
 is exactly what the report's call stacks give us.
+
+The search is stateful, as in SPIN: at each fork point, when another thread
+could run, the policy looks the state's exact key
+(:meth:`~repro.symbex.state.ExecutionState.state_key`) up in a visited set
+kept for the search.  A state already seen at the same fork point ends as a
+``duplicate`` and forks nothing -- its earlier copy forked every
+alternative, so nothing reachable is lost and found/exhausted verdicts are
+unchanged.  This is what lets patch validation (section 8) run out of
+states quickly: different interleavings of dependent lock operations reach
+the same few global states over and over.
 """
 
 from __future__ import annotations
@@ -58,6 +68,11 @@ class DeadlockSchedulePolicy(SchedulerPolicy):
         self.snapshots_taken = 0
         self.activations = 0
         self.releases_skipped = 0
+        # (fork point, state key) pairs this search has reached.  A policy
+        # serves one search (or one shard of a pooled search: each worker
+        # builds its own, and checkpoints do not carry it -- a resumed or
+        # stolen state may then be explored twice, never lost).
+        self.visited: set[tuple] = set()
 
     # -- helpers ------------------------------------------------------------
 
@@ -84,12 +99,36 @@ class DeadlockSchedulePolicy(SchedulerPolicy):
             forks.append(snap)
         return forks
 
+    def _revisited(
+        self, executor: Executor, state: ExecutionState, point: str,
+    ) -> bool:
+        """Record ``state`` at fork point ``point``; True, with the state
+        ended as a duplicate, if the search already reached it there.
+
+        Only checked when another thread could run (otherwise nothing
+        forks), and only when this policy schedules alone: a chained race
+        policy forks on what its global detector has seen so far, so a
+        state's future would depend on when it is reached.
+        """
+        if executor.policy is not self or not self._other_runnable(state):
+            return False
+        visited = self.visited
+        size = len(visited)
+        visited.add((point, state.state_key()))
+        if len(visited) != size:
+            return False
+        state.status = "duplicate"
+        executor.stats.states_merged += 1
+        return True
+
     # -- hooks ------------------------------------------------------------
 
     def fork_before_acquire(
         self, executor: Executor, state: ExecutionState, key: AddrKey,
         instr: Instr, ref: InstrRef,
     ) -> list[ExecutionState]:
+        if self._revisited(executor, state, "acquire"):
+            return []
         # One snapshot per (thread, mutex) hold episode: a woken thread
         # re-trying the same acquisition is the same "encounter" and must not
         # fork again, or contended locks spin off unbounded siblings.
@@ -142,6 +181,8 @@ class DeadlockSchedulePolicy(SchedulerPolicy):
         if ref in self.skip_release_refs:
             self.releases_skipped += 1
             return []
+        if self._revisited(executor, state, "release"):
+            return []
         return self._fork_preempted(executor, state)
 
     def on_release(
@@ -161,5 +202,7 @@ class DeadlockSchedulePolicy(SchedulerPolicy):
         if kind == "create":
             # A new thread is a new scheduling opportunity.  The create
             # itself already completed, so the fork keeps its count.
+            if self._revisited(executor, state, "create"):
+                return []
             return self._fork_preempted(executor, state, before_instruction=False)
         return []

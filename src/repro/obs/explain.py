@@ -48,7 +48,7 @@ def _subsystem(reason: str, why: str) -> str:
         return KILL_SUBSYSTEM["path-constraint"]
     if reason == "exited":
         return "completed"
-    return reason  # 'goal' | 'bug'
+    return reason  # 'goal' | 'bug' | 'duplicate'
 
 
 def explain_flight(doc: dict[str, Any]) -> dict[str, Any]:
@@ -229,10 +229,12 @@ def diff_flights(doc_a: dict[str, Any], doc_b: dict[str, Any]) -> dict[str, Any]
 
 def render_explain(report: dict[str, Any], *, max_rows: int = 12) -> str:
     lines: list[str] = []
+    merged = report["totals"].get("states_merged")
     lines.append(
         f"outcome: {report['outcome'] or '?'}  "
         f"picks: {report['picks']}  states: {report['states_explored']}  "
-        f"attribution: {100 * report['attribution']:.1f}%"
+        + (f"merged: {merged}  " if merged else "")
+        + f"attribution: {100 * report['attribution']:.1f}%"
     )
     states = report["states"]
     ends = ", ".join(f"{k}={v}" for k, v in sorted(states["ends"].items()))

@@ -154,8 +154,9 @@ class FlightRecorder:
 
     def end(self, sid: int, parent: int, reason: str, *, why: str = "",
             function: str = "", line: int = 0) -> None:
-        """A state terminated: ``reason`` is goal/bug/exited/infeasible,
-        ``why`` names the killing layer when one labelled the state."""
+        """A state terminated: ``reason`` is goal/bug/exited/infeasible/
+        duplicate, ``why`` names the killing layer when one labelled the
+        state."""
         if not self.enabled:
             return
         self.ends[reason] = self.ends.get(reason, 0) + 1

@@ -121,6 +121,7 @@ class SearchObserver:
             "wp_branch_prunes": prune.branch_prunes,
             "wp_probes_avoided": prune.probes_avoided,
             "wp_state_kills": prune.state_kills,
+            "states_merged": setup.executor.stats.states_merged,
         })
 
     # -- engine-facing: one call per search decision -------------------------
@@ -166,7 +167,8 @@ class SearchObserver:
             self.flight.drop(state.sid, state.parent_sid, why)
 
     def end(self, state: Any, reason: str) -> None:
-        """A state terminated: goal, bug, exited or infeasible."""
+        """A state terminated: goal, bug, exited, infeasible, or duplicate
+        (the schedule policy had already reached an identical state)."""
         if self.flight is not None:
             why = ""
             line = 0

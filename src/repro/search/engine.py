@@ -272,8 +272,10 @@ def explore_frontier(
                 other_bugs.append(succ)
             elif status == "exited":
                 stats.paths_completed += 1
-            else:
+            elif status == "infeasible":
                 stats.paths_infeasible += 1
+            # else 'duplicate': the schedule policy already reached an
+            # identical state (counted in ExecStats.states_merged).
             if observer is not None:
                 observer.end(succ, status)
 

@@ -122,6 +122,9 @@ class ExecStats:
     sched_forks: int = 0
     states_created: int = 0
     solver_forks: int = 0
+    # States a scheduling policy ended because the search had already
+    # reached an identical one (status 'duplicate').
+    states_merged: int = 0
 
 
 class Executor:
@@ -241,8 +244,7 @@ class Executor:
                     if state.status != "running":
                         return successors
                     continue
-                if thread.holders > 1:
-                    thread = state.own_thread(tid)
+                thread = state.own_thread(tid)
             if state.steps >= max_steps:
                 state.status = "infeasible"
                 state.meta["killed"] = "step-limit"
@@ -1197,6 +1199,8 @@ class Executor:
         if rec.owner is None:
             forks = self.policy.fork_before_acquire(self, state, key, instr, ref)
             self.stats.sched_forks += len(forks)
+            if state.status != "running":
+                return forks + [state]
             rec = state.mutexes[key]  # policy fork may have cloned records
             rec.owner = thread.tid
             if thread.tid in rec.waiters:
@@ -1233,6 +1237,8 @@ class Executor:
             )
         forks = self.policy.fork_before_release(self, state, key, instr, ref)
         self.stats.sched_forks += len(forks)
+        if state.status != "running":
+            return forks + [state]
         rec = state.mutexes[key]
         rec.owner = None
         self._wake(state, rec.waiters, ("mutex", key))

@@ -70,14 +70,41 @@ class DoubleFree(MemoryError_):
     pass
 
 
+class StateKey:
+    """An exact, hashable value standing for part of an execution state.
+
+    Two keys are equal exactly when their ``parts`` tuples are equal; the
+    hash is computed once, so a key cached on a shared object costs one
+    call to hash however much state it covers.  Cells go in as they are:
+    :class:`~repro.solver.expr.Expr` equality is identity, and interning
+    makes structurally equal expressions the same object (after an
+    intern-table eviction two equal expressions may be distinct objects,
+    which can only make equal states look different, never the reverse).
+    """
+
+    __slots__ = ("parts", "hash")
+
+    def __init__(self, parts: tuple, hash_: Optional[int] = None) -> None:
+        self.parts = parts
+        self.hash = hash(parts) if hash_ is None else hash_
+
+    def __hash__(self) -> int:
+        return self.hash
+
+    def __eq__(self, other: object) -> bool:
+        return (self is other or isinstance(other, StateKey)
+                and self.hash == other.hash and self.parts == other.parts)
+
+
 class MemObject:
     """A contiguous run of word cells.
 
     ``holders`` counts the address spaces whose maps reference the object
-    (an upper bound: a dropped state never releases its hold).
+    (an upper bound: a dropped state never releases its hold).  ``key``
+    caches :meth:`state_key`; every in-place change clears it.
     """
 
-    __slots__ = ("obj_id", "name", "kind", "cells", "freed", "holders")
+    __slots__ = ("obj_id", "name", "kind", "cells", "freed", "holders", "key")
 
     def __init__(
         self, obj_id: int, size: int, kind: str, name: str = "",
@@ -91,6 +118,7 @@ class MemObject:
             self.cells.extend([0] * (size - len(self.cells)))
         self.freed = False
         self.holders = 1
+        self.key: Optional[StateKey] = None
 
     @property
     def size(self) -> int:
@@ -104,7 +132,15 @@ class MemObject:
         copy.cells = self.cells if share_cells else list(self.cells)
         copy.freed = self.freed
         copy.holders = 1
+        copy.key = None
         return copy
+
+    def state_key(self) -> StateKey:
+        key = self.key
+        if key is None:
+            key = self.key = StateKey((self.obj_id, self.kind, self.name,
+                                       self.freed, tuple(self.cells)))
+        return key
 
     def __repr__(self) -> str:
         flags = " freed" if self.freed else ""
@@ -112,12 +148,14 @@ class MemObject:
 
 
 class AddressSpace:
-    """COW map of object ids to memory objects."""
+    """COW map of object ids to memory objects.  ``key`` caches
+    :meth:`state_key`; every change to the map or an object clears it."""
 
-    __slots__ = ("objects",)
+    __slots__ = ("objects", "key")
 
     def __init__(self) -> None:
         self.objects: dict[int, MemObject] = {}
+        self.key: Optional[StateKey] = None
 
     def fork(self) -> "AddressSpace":
         """Share all objects with a new address space (O(objects), no data copy)."""
@@ -125,6 +163,7 @@ class AddressSpace:
             obj.holders += 1
         other = AddressSpace.__new__(AddressSpace)
         other.objects = dict(self.objects)
+        other.key = self.key
         return other
 
     def _mark_freed(self, obj: MemObject) -> None:
@@ -139,10 +178,12 @@ class AddressSpace:
         if obj.holders > 1:
             obj = self.objects[obj.obj_id] = obj.clone(share_cells=True)
         obj.freed = True
+        obj.key = self.key = None
 
     def add(self, obj: MemObject) -> MemObject:
         assert obj.obj_id not in self.objects
         self.objects[obj.obj_id] = obj
+        self.key = None
         return obj
 
     def get(self, obj_id: int) -> MemObject:
@@ -172,6 +213,9 @@ class AddressSpace:
         if obj.holders > 1:  # clone for this space; give up its hold
             obj.holders -= 1
             obj = self.objects[obj_id] = obj.clone()
+        else:
+            obj.key = None
+        self.key = None
         obj.cells[offset] = value
 
     def free(self, obj_id: int, offset: int) -> None:
@@ -194,6 +238,15 @@ class AddressSpace:
             obj = objects.get(obj_id)
             if obj is not None and not obj.freed:
                 self._mark_freed(obj)
+
+    def state_key(self) -> StateKey:
+        key = self.key
+        if key is None:
+            keys = tuple([obj.key or obj.state_key()
+                          for obj in self.objects.values()])
+            # Hashing the member hashes skips a call per object.
+            key = self.key = StateKey(keys, hash(tuple([k.hash for k in keys])))
+        return key
 
     def __len__(self) -> int:
         return len(self.objects)

@@ -27,7 +27,7 @@ from typing import Any, Iterable, Optional
 from ..ir import InstrRef
 from ..solver.expr import Atom, Expr, Var
 from .bugs import BugInfo
-from .memory import AddressSpace, CellValue, MemObject, Pointer
+from .memory import AddressSpace, CellValue, MemObject, Pointer, StateKey
 
 AddrKey = tuple[int, int]  # (object id, concrete offset): identity of a sync object
 
@@ -39,10 +39,12 @@ class Frame:
     :meth:`repro.symbex.executor.Executor.step`); it is ``None`` until the
     executor first runs the frame, and travels with the frame's position.
     ``holders`` counts the threads whose stacks contain this frame.
+    ``key`` caches :meth:`state_key` (see :meth:`ThreadState.key_parts`
+    for when it may be cached).
     """
 
     __slots__ = ("function", "block", "index", "regs", "ret_dst", "allocas",
-                 "code", "holders")
+                 "code", "holders", "key")
 
     def __init__(self, function: str, block: str = "entry") -> None:
         self.function = function
@@ -53,6 +55,7 @@ class Frame:
         self.allocas: list[int] = []  # stack object ids to release on return
         self.code: Optional[tuple] = None
         self.holders = 1
+        self.key: Optional[StateKey] = None
 
     def clone(self) -> "Frame":
         copy = Frame.__new__(Frame)
@@ -64,7 +67,18 @@ class Frame:
         copy.allocas = list(self.allocas)
         copy.code = self.code
         copy.holders = 1
+        copy.key = None
         return copy
+
+    def key_parts(self) -> tuple:
+        return (self.function, self.block, self.index,
+                tuple(self.regs.items()), self.ret_dst, tuple(self.allocas))
+
+    def state_key(self) -> StateKey:
+        key = self.key
+        if key is None:
+            key = self.key = StateKey(self.key_parts())
+        return key
 
     @property
     def ref(self) -> InstrRef:
@@ -86,11 +100,12 @@ class ThreadState:
     mutates a thread it holds alone (:meth:`ExecutionState.own_thread`).
     A thread held alone always holds its top frame alone too: cloning a
     thread clones the top frame and shares only the frames below it.
+    ``key`` caches :meth:`state_key`.
     """
 
     __slots__ = (
         "tid", "frames", "status", "blocked_on", "reacquire_mutex",
-        "instr_count", "entry_function", "replaying", "holders",
+        "instr_count", "entry_function", "replaying", "holders", "key",
     )
 
     def __init__(self, tid: int, entry_function: str) -> None:
@@ -110,6 +125,7 @@ class ThreadState:
         # instruction counts consistent between serial and sharded runs.
         self.replaying = False
         self.holders = 1
+        self.key: Optional[StateKey] = None
 
     def clone(self) -> "ThreadState":
         """A private copy: a fresh top frame over the shared frames below."""
@@ -130,7 +146,34 @@ class ThreadState:
         copy.entry_function = self.entry_function
         copy.replaying = self.replaying
         copy.holders = 1
+        copy.key = None
         return copy
+
+    def key_parts(self) -> tuple:
+        """The thread's part of :meth:`ExecutionState.state_key`, computed
+        afresh.
+
+        The executor changes the running thread and its top frame in place
+        without clearing their keys, so the running thread's parts are
+        never cached; every other change to a thread goes through
+        :meth:`ExecutionState.own_thread`, which clears the keys.  A frame
+        below the top changes only when a return makes it the top again,
+        through :meth:`own_top`, so frames below the top use their cached
+        keys.
+        """
+        frames = self.frames
+        parts = [frame.state_key() for frame in frames[:-1]]
+        if frames:
+            parts.append(frames[-1].key_parts())
+        return (self.tid, self.status, self.blocked_on, self.reacquire_mutex,
+                self.replaying, *parts)
+
+    def state_key(self) -> StateKey:
+        """:meth:`key_parts` of a thread that is not running, cached."""
+        key = self.key
+        if key is None:
+            key = self.key = StateKey(self.key_parts())
+        return key
 
     @property
     def top(self) -> Frame:
@@ -143,6 +186,8 @@ class ThreadState:
         if frame.holders > 1:
             frame.holders -= 1
             frame = self.frames[-1] = frame.clone()
+        else:
+            frame.key = None
         return frame
 
     @property
@@ -217,6 +262,11 @@ class EnvState:
         self.buffers: dict[str, Pointer] = {}
         self.holders = 1  # states sharing this environment
 
+    def state_key(self) -> tuple:
+        return (tuple(self.stdin_vars), tuple(self.env_buffers.items()),
+                tuple(self.arg_buffers.items()), self.argc_var,
+                tuple(self.buffers.items()))
+
     def clone(self) -> "EnvState":
         copy = EnvState.__new__(EnvState)
         copy.holders = 1
@@ -261,16 +311,23 @@ class PathCondition:
     to the constraints mentioning it (Klee's independent-constraint
     optimization at the state level); its values are tuples, so a shallow
     copy of the map is a full copy.  ``holders`` counts the states sharing
-    this path condition.
+    this path condition; ``key`` caches :meth:`state_key`.
     """
 
-    __slots__ = ("constraints", "uids", "var_index", "holders")
+    __slots__ = ("constraints", "uids", "var_index", "holders", "key")
 
     def __init__(self) -> None:
         self.constraints: list[Expr] = []
         self.uids: set[int] = set()
         self.var_index: dict[str, tuple[Expr, ...]] = {}
         self.holders = 1
+        self.key: Optional[StateKey] = None
+
+    def state_key(self) -> StateKey:
+        key = self.key
+        if key is None:
+            key = self.key = StateKey(tuple(self.constraints))
+        return key
 
     def copy(self) -> "PathCondition":
         copy = PathCondition.__new__(PathCondition)
@@ -278,6 +335,7 @@ class PathCondition:
         copy.uids = set(self.uids)
         copy.var_index = dict(self.var_index)
         copy.holders = 1
+        copy.key = None
         return copy
 
 
@@ -317,7 +375,8 @@ class ExecutionState:
         self.segment_instrs = 0
         self.steps = 0
         self.forks = 0
-        self.status = "running"  # 'running' | 'exited' | 'bug' | 'infeasible'
+        # 'running' | 'exited' | 'bug' | 'infeasible' | 'duplicate'
+        self.status = "running"
         self.exit_code = 0
         self.bug: Optional[BugInfo] = None
         # Deadlock schedule synthesis (paper section 4.1): mutex -> state
@@ -378,11 +437,14 @@ class ExecutionState:
         self._env = env
 
     def own_thread(self, tid: int) -> ThreadState:
-        """Thread ``tid``, cloned first if another state shares it."""
+        """Thread ``tid``, cloned first if another state shares it.  The
+        caller may change the thread and its top frame in place."""
         thread = self.threads[tid]
         if thread.holders > 1:
             thread.holders -= 1
             thread = self.threads[tid] = thread.clone()
+        else:
+            thread.key = None
         return thread
 
     def runnable_tids(self) -> list[int]:
@@ -517,6 +579,7 @@ class ExecutionState:
         if path.holders > 1:
             path.holders -= 1
             path = self.path = path.copy()
+        path.key = None
         path.uids.add(constraint.uid)
         path.constraints.append(constraint)
         var_index = path.var_index
@@ -549,8 +612,59 @@ class ExecutionState:
                         worklist.append(var.name)
         return related
 
+    # -- visited-state keys ------------------------------------------------------
+
+    def state_key(self) -> tuple:
+        """An exact key for what this running state can still do.
+
+        Two states with equal keys have the same futures: the key covers
+        every thread, memory object, mutex and condition variable, the
+        thread and object counters, the path condition, the symbolic
+        environment, and ``meta`` (where policies and searchers keep their
+        per-state flags).  It leaves out only what records the search or
+        guides it (:data:`KEY_IGNORED`).  Components are cached on the
+        copy-on-write objects forks share, so a check costs a few hash
+        calls for whatever did not change since the last one.
+        """
+        current = self.current_tid
+        return (
+            tuple([thread.key_parts() if tid == current
+                   else thread.state_key()
+                   for tid, thread in self.threads.items()]),
+            self.address_space.state_key(),
+            tuple([(key, rec.owner, tuple(rec.waiters))
+                   for key, rec in self.mutexes.items()]),
+            tuple([(key, tuple(tids)) for key, tids in self.condvars.items()]),
+            current, self.next_tid, self.next_obj,
+            self.path.state_key(),
+            self._env.state_key(),
+            frozenset(self.meta.items()),
+        )
+
     def __repr__(self) -> str:
         return (
             f"<state {self.sid} {self.status} tid={self.current_tid} "
             f"steps={self.steps} constraints={len(self.constraints)}>"
         )
+
+
+# The slots each part of :meth:`ExecutionState.state_key` leaves out; every
+# other slot of these classes is in the key.  What is left out records the
+# search (logs, counters, ids), guides it (schedule distance, snapshots,
+# the model witness), caches something derived (decoded code, keys), counts
+# sharing (holders), is fixed for a whole search (globals), or is only set
+# once a state has ended (status, exit code, bug).
+KEY_IGNORED: dict[type, frozenset[str]] = {
+    ExecutionState: frozenset({
+        "sid", "parent_sid", "globals", "_input_events", "_output",
+        "_sync_log", "_segments", "segment_instrs", "steps", "forks",
+        "status", "exit_code", "bug", "snapshots", "schedule_distance",
+        "preemptions", "last_model", "goal_code",
+    }),
+    ThreadState: frozenset({"instr_count", "entry_function", "holders", "key"}),
+    Frame: frozenset({"code", "holders", "key"}),
+    MemObject: frozenset({"holders", "key"}),
+    MutexRec: frozenset(),
+    EnvState: frozenset({"holders"}),
+    PathCondition: frozenset({"uids", "var_index", "holders", "key"}),
+}
