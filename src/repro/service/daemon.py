@@ -263,6 +263,9 @@ class _SpoolWatcher(threading.Thread):
         # with identical content dedupe to one job, and each file's
         # promised result must still be written.
         self._pending: dict[str, list[Path]] = {}
+        # Spec name -> (size, mtime) of the last scan's failed read: a spec
+        # that does not parse may still be being written.
+        self._unreadable: dict[str, tuple[int, int]] = {}
 
     def stop(self) -> None:
         self._stop_spool.set()
@@ -297,25 +300,47 @@ class _SpoolWatcher(threading.Thread):
             )
 
     def _scan_once(self) -> None:
+        """Submit every spec file in the directory.
+
+        A spec that fails to parse is left alone: it may be half written.
+        It is rejected only when two scans in a row fail to read it at the
+        same size and mtime.
+        """
+        unreadable: dict[str, tuple[int, int]] = {}
         for path in sorted(self.directory.glob("*.json")):
             name = path.name
             if name.endswith(".result.json") or name.endswith(".error.json"):
                 continue
             try:
+                stat = path.stat()
+            except OSError:
+                continue  # gone since the listing
+            try:
                 spec = JobSpec.from_dict(json.loads(path.read_text()))
+            except (OSError, ValueError, JobError, SchemaVersionError) as exc:
+                seen = (stat.st_size, stat.st_mtime_ns)
+                if self._unreadable.get(name) == seen:
+                    self._reject(path, exc)
+                else:
+                    unreadable[name] = seen
+                continue
+            try:
                 record = self.service.submit(spec)
-            except (OSError, ValueError, JobError,
-                    SchemaVersionError) as exc:
-                path.rename(path.with_name(name + ".rejected"))
-                error_path = self.directory / (path.stem + ".error.json")
-                error_path.write_text(json.dumps({
-                    "file": name, "error": str(exc),
-                }, indent=2))
+            except (ValueError, JobError, SchemaVersionError) as exc:
+                self._reject(path, exc)
                 continue
             path.rename(path.with_name(name + ".submitted"))
             self._pending.setdefault(record.job_id, []).append(
                 self.directory / (path.stem + ".result.json")
             )
+        self._unreadable = unreadable
+
+    def _reject(self, path: Path, exc: Exception) -> None:
+        path.rename(path.with_name(path.name + ".rejected"))
+        error_path = self.directory / (path.stem + ".error.json")
+        error_path.write_text(json.dumps({
+            "file": path.name, "error": str(exc),
+        }, indent=2))
 
     def _flush_results(self) -> None:
         from ..schema import atomic_write_text

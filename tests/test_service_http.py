@@ -12,7 +12,7 @@ from repro.cli import repro_main
 from repro.core import ESDConfig, ExecutionFile
 from repro.service import ReproService
 from repro.service.client import ServiceClient, ServiceClientError
-from repro.service.daemon import ServiceDaemon
+from repro.service.daemon import ServiceDaemon, _SpoolWatcher
 from repro.workloads import get
 from repro.workloads.ghttpd import hard_workload
 
@@ -177,6 +177,41 @@ class TestSpoolMode:
             assert (spool / "broken.json.rejected").exists()
         finally:
             daemon.stop(graceful=False)
+
+    def test_spool_waits_for_a_half_written_spec(self, tmp_path):
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        service = ReproService(max_workers=1)
+        watcher = _SpoolWatcher(service, spool)
+        try:
+            text = json.dumps(JobSpec(workload="tac").to_dict())
+            path = spool / "bug-1.json"
+            path.write_text(text[: len(text) // 2])
+            watcher._scan_once()
+            assert path.exists(), "a half-written spec was taken"
+            assert not (spool / "bug-1.json.rejected").exists()
+
+            path.write_text(text)
+            watcher._scan_once()
+            assert (spool / "bug-1.json.submitted").exists()
+            assert not (spool / "bug-1.error.json").exists()
+        finally:
+            service.shutdown(graceful=False)
+
+    def test_spool_rejects_a_spec_unreadable_twice_unchanged(self, tmp_path):
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        service = ReproService(max_workers=1)
+        watcher = _SpoolWatcher(service, spool)
+        try:
+            (spool / "broken.json").write_text("{not json")
+            watcher._scan_once()
+            assert (spool / "broken.json").exists()
+            watcher._scan_once()
+            assert (spool / "broken.json.rejected").exists()
+            assert (spool / "broken.error.json").exists()
+        finally:
+            service.shutdown(graceful=False)
 
 
 class TestCliClientCommands:
