@@ -4,7 +4,8 @@ Every registered workload (and three BPF deadlocks) is synthesized
 serially in a cold session, and the result is compared with numbers
 recorded in ``tests/assets/artifact_pins.json``: the sha256 of the
 execution file's canonical bytes, the search's instruction and state
-counts, the executor's fork counters, and the solver's query count.
+counts, the executor's fork and merged-duplicate counters, and the
+solver's query count.
 The other byte-identity tests compare two modes of one build; these pins
 catch a change to the interpreter, the fork, or the searcher that moves
 an artifact or a counter between builds.
@@ -97,6 +98,7 @@ def measure(name: str) -> dict:
         "forks": totals.forks,
         "states_created": totals.states_created,
         "sched_forks": totals.sched_forks,
+        "states_merged": totals.states_merged,
         "solver_queries": session.solver_stats.queries,
         "ir_sha256": _sha256(format_module(module)),
         "flight_sha256": _sha256(json.dumps(records, sort_keys=True)),
