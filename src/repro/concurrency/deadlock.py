@@ -81,16 +81,17 @@ class DeadlockSchedulePolicy(SchedulerPolicy):
         return [t for t in state.runnable_tids() if t != state.current_tid]
 
     def _fork_preempted(
-        self, executor: Executor, state: ExecutionState,
+        self, executor: Executor, state: ExecutionState, others: list[int],
         before_instruction: bool = True,
     ) -> list[ExecutionState]:
-        """States identical to ``state`` except another thread runs next.
+        """One state per thread in ``others``: identical to ``state``
+        except that thread runs next.
 
         ``before_instruction`` means the hook fired before the current
         instruction's semantics completed; the fork has not executed it.
         """
         forks = []
-        for tid in self._other_runnable(state):
+        for tid in others:
             snap = state.fork()
             executor.stats.states_created += 1
             if before_instruction:
@@ -101,16 +102,17 @@ class DeadlockSchedulePolicy(SchedulerPolicy):
 
     def _revisited(
         self, executor: Executor, state: ExecutionState, point: str,
+        others: list[int],
     ) -> bool:
         """Record ``state`` at fork point ``point``; True, with the state
         ended as a duplicate, if the search already reached it there.
 
-        Only checked when another thread could run (otherwise nothing
-        forks), and only when this policy schedules alone: a chained race
-        policy forks on what its global detector has seen so far, so a
-        state's future would depend on when it is reached.
+        Only checked when another thread could run (``others``; otherwise
+        nothing forks), and only when this policy schedules alone: a
+        chained race policy forks on what its global detector has seen so
+        far, so a state's future would depend on when it is reached.
         """
-        if executor.policy is not self or not self._other_runnable(state):
+        if not others or executor.policy is not self:
             return False
         visited = self.visited
         size = len(visited)
@@ -127,7 +129,8 @@ class DeadlockSchedulePolicy(SchedulerPolicy):
         self, executor: Executor, state: ExecutionState, key: AddrKey,
         instr: Instr, ref: InstrRef,
     ) -> list[ExecutionState]:
-        if self._revisited(executor, state, "acquire"):
+        others = self._other_runnable(state)
+        if self._revisited(executor, state, "acquire", others):
             return []
         # One snapshot per (thread, mutex) hold episode: a woken thread
         # re-trying the same acquisition is the same "encounter" and must not
@@ -137,7 +140,7 @@ class DeadlockSchedulePolicy(SchedulerPolicy):
         forks: list[ExecutionState] = []
         if state.current_tid not in forked:
             state.meta[flag] = forked | {state.current_tid}
-            forks = self._fork_preempted(executor, state)
+            forks = self._fork_preempted(executor, state, others)
             if forks:
                 state.snapshots[key] = forks[0]
                 self.snapshots_taken += 1
@@ -181,9 +184,10 @@ class DeadlockSchedulePolicy(SchedulerPolicy):
         if ref in self.skip_release_refs:
             self.releases_skipped += 1
             return []
-        if self._revisited(executor, state, "release"):
+        others = self._other_runnable(state)
+        if self._revisited(executor, state, "release", others):
             return []
-        return self._fork_preempted(executor, state)
+        return self._fork_preempted(executor, state, others)
 
     def on_release(
         self, executor: Executor, state: ExecutionState, key: AddrKey,
@@ -202,7 +206,9 @@ class DeadlockSchedulePolicy(SchedulerPolicy):
         if kind == "create":
             # A new thread is a new scheduling opportunity.  The create
             # itself already completed, so the fork keeps its count.
-            if self._revisited(executor, state, "create"):
+            others = self._other_runnable(state)
+            if self._revisited(executor, state, "create", others):
                 return []
-            return self._fork_preempted(executor, state, before_instruction=False)
+            return self._fork_preempted(executor, state, others,
+                                        before_instruction=False)
         return []

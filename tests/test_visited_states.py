@@ -242,13 +242,13 @@ def checked_keys(monkeypatch):
     checks = []
     revisited = DeadlockSchedulePolicy._revisited
 
-    def checking(self, executor, state, point):
-        if executor.policy is self and self._other_runnable(state):
+    def checking(self, executor, state, point, others):
+        if executor.policy is self and others:
             cached = state.state_key()
             assert cached == fresh_key(state), (
                 f"stale cached key at {point} in state {state.sid}")
             checks.append(point)
-        return revisited(self, executor, state, point)
+        return revisited(self, executor, state, point, others)
 
     monkeypatch.setattr(DeadlockSchedulePolicy, "_revisited", checking)
     return checks
