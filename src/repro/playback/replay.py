@@ -9,6 +9,8 @@ Two modes, as in the paper:
   necessary to satisfy the happens-before relations in the execution file":
   the replayer gates each thread at its next synchronization operation until
   that operation is the earliest unconsumed event of the recorded order.
+  After the operation the thread runs on to its next preemption point, as
+  it did during synthesis.
 
 Both run the program concretely (inputs come from the execution file), so
 playback is deterministic and repeatable -- attach the debugger, replay,
@@ -23,7 +25,7 @@ from typing import Optional
 from .. import ir
 from ..core.execfile import ExecutionFile
 from ..symbex import BugInfo, ConcreteEnv, ExecConfig, Executor
-from ..symbex.state import RUNNABLE, ExecutionState
+from ..symbex.state import RUNNABLE, ExecutionState, ThreadState
 
 
 class PlaybackDivergence(Exception):
@@ -136,6 +138,21 @@ def _play_strict(
 # Happens-before replay
 # ---------------------------------------------------------------------------
 
+# Instructions before which a schedule policy may switch threads.
+_SYNC_INSTRS = (ir.MutexLock, ir.MutexUnlock, ir.CondWait, ir.CondSignal,
+                ir.ThreadCreate, ir.ThreadJoin)
+
+
+def _at_preemption_point(module: ir.Module, thread: ThreadState) -> bool:
+    """True if ``thread`` cannot run, or its next instruction is a sync
+    instruction or the return that ends the thread."""
+    if thread.status != RUNNABLE or not thread.frames:
+        return True
+    instr = module.instruction(thread.pc)
+    return isinstance(instr, _SYNC_INSTRS) or (
+        isinstance(instr, ir.Ret) and len(thread.frames) == 1
+    )
+
 
 def _play_happens_before(
     module: ir.Module, execution: ExecutionFile, max_steps: int
@@ -182,6 +199,21 @@ def _play_happens_before(
                 f"event #{position}: expected {event.op} by thread {event.tid}, "
                 f"got {produced.op} by thread {produced.tid}"
             )
+        # Synthesis preempts a thread only before a sync instruction or at
+        # its exit, so the thread ran on to that point before any other
+        # thread did -- including reads of shared data that a later event
+        # of another thread changes.  Replay that stretch now.
+        while not state.terminated and not _at_preemption_point(
+            module, state.threads[event.tid]
+        ):
+            state.current_tid = event.tid
+            successors = executor.step(state)
+            if len(successors) != 1:
+                raise PlaybackDivergence("playback execution forked")
+            state = successors[0]
+            total += 1
+            if total > max_steps:
+                raise PlaybackDivergence("playback exceeded step budget")
 
     guard = 0
     while not state.terminated:

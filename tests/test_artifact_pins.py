@@ -13,7 +13,8 @@ an artifact or a counter between builds.
 Three more digests pin what the compilers and the search's observers
 produce: the printed IR of the compiled module, the flight log's
 records (state ids renumbered), and the progress events (everything
-but their timing).
+but their timing).  Every pinned deadlock execution must also play back
+in both strict and happens-before mode.
 
 Regenerate the pins (only for a change that is meant to move them, and
 say why in the change description) with::
@@ -33,6 +34,7 @@ import pytest
 from repro import ReproSession
 from repro.bpf import BPFParams, generate
 from repro.ir.printer import format_module
+from repro.playback import play_back
 from repro.workloads import ALL, get
 
 PINS_PATH = Path(__file__).parent / "assets" / "artifact_pins.json"
@@ -117,6 +119,22 @@ def _pins() -> dict:
 @pytest.mark.parametrize("name", pinned_names())
 def test_artifact_and_counters_match_pins(name):
     assert measure(name) == _pins()[name]
+
+
+@pytest.mark.parametrize("name", [name for name in pinned_names()
+                                  if _workload(name).bug_type == "deadlock"])
+def test_concurrency_pins_play_back_in_both_modes(name):
+    """Each pinned deadlock execution reproduces its bug under strict and
+    happens-before playback alike."""
+    workload = _workload(name)
+    module = workload.compile()
+    result = ReproSession(module, workers=1).synthesize(workload.make_report())
+    execution = result.execution_file
+    assert (hashlib.sha256(execution.canonical_bytes()).hexdigest()
+            == _pins()[name]["sha256"])
+    verdicts = {mode: play_back(module, execution, mode=mode).bug_reproduced
+                for mode in ("strict", "happens-before")}
+    assert verdicts == {"strict": True, "happens-before": True}
 
 
 if __name__ == "__main__":
