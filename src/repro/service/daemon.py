@@ -57,7 +57,7 @@ from ..api.jobs import (
     SpecError,
     UnknownJobError,
 )
-from ..schema import SchemaVersionError
+from ..schema import SchemaVersionError, atomic_write_text
 from ..store import UnknownArtifactError
 from .service import ReproService
 
@@ -338,13 +338,13 @@ class _SpoolWatcher(threading.Thread):
     def _reject(self, path: Path, exc: Exception) -> None:
         path.rename(path.with_name(path.name + ".rejected"))
         error_path = self.directory / (path.stem + ".error.json")
-        error_path.write_text(json.dumps({
+        # Atomic, like results: a client polling for the file must never
+        # read it half-written.
+        atomic_write_text(error_path, json.dumps({
             "file": path.name, "error": str(exc),
         }, indent=2))
 
     def _flush_results(self) -> None:
-        from ..schema import atomic_write_text
-
         for job_id, targets in list(self._pending.items()):
             record = self.service.describe(job_id)
             if record["state"] not in TERMINAL_STATES:
