@@ -7,6 +7,15 @@ pointing at shared states -- ordered by the Algorithm-1 proximity estimate.
 Each pick chooses a queue uniformly at random and takes its closest state,
 "progressively advancing states toward the nearest intermediate goal".
 
+Proximity often ties: every state circling a loop at the same distance
+sits on one plateau.  Within a plateau the state with the fewest
+instructions executed along its path (``state.steps``) goes first -- a
+uniform-cost order -- and insertion order decides only exact ties.  First-in
+first-out alone is breadth-first across the plateau (a state looping at a
+constant distance returns to its back every batch); last-in first-out dives
+down one loop and never comes back.  Fork copies ``steps`` and snapshots
+carry it, so pooled and resumed searches order their queues the same way.
+
 Two further focusing techniques from the paper are implemented here:
 
 * *path abandonment*: a state whose distance to the final goal is infinite
@@ -82,7 +91,10 @@ class ProximityGuidedSearcher(Searcher):
         self.prune_unreachable = prune_unreachable
         self.use_schedule_distance = use_schedule_distance
         self._rng = random.Random(seed)
-        self._queues: list[list[tuple[float, int, dict]]] = [[] for _ in goals]
+        # Entries are (priority, steps, seq, token): see the module docstring.
+        self._queues: list[list[tuple[float, int, int, dict]]] = [
+            [] for _ in goals
+        ]
         self._tokens: dict[int, dict] = {}
         self._seq = itertools.count()
         self._live = 0
@@ -90,7 +102,7 @@ class ProximityGuidedSearcher(Searcher):
         # The most recent pick's (queue, priority), for flight-recorder
         # attribution via :meth:`pick_info`.  Two attribute writes per
         # pick -- noise next to the RNG draw and heap pop.
-        self._last_queue: list[tuple[float, int, dict]] = []
+        self._last_queue: list[tuple[float, int, int, dict]] = []
         self._last_priority = 0.0
         # Map (function, block) -> intermediate-goal indices, used to mark a
         # goal *achieved* the moment a state's pc enters one of its blocks.
@@ -162,6 +174,7 @@ class ProximityGuidedSearcher(Searcher):
             self._live -= 1
         self._tokens[state.sid] = token
         achieved: frozenset = state.meta.get("goals_done", frozenset())  # type: ignore[assignment]
+        steps = state.steps
         pushed = False
         for index, goal in enumerate(self.goals):
             if goal is not self.final_goal and index in achieved:
@@ -174,13 +187,14 @@ class ProximityGuidedSearcher(Searcher):
                 continue
             heapq.heappush(
                 self._queues[index],
-                (self._priority(state, distance), next(self._seq), token),
+                (self._priority(state, distance), steps, next(self._seq), token),
             )
             pushed = True
         if not pushed:
             # Unreachable but pruning disabled: park on the final queue.
             heapq.heappush(
-                self._queues[-1], (float("inf"), next(self._seq), token)
+                self._queues[-1],
+                (float("inf"), steps, next(self._seq), token),
             )
         self._live += 1
 
@@ -190,7 +204,7 @@ class ProximityGuidedSearcher(Searcher):
             if not candidates:
                 raise IndexError("pick from an empty searcher")
             queue = self._rng.choice(candidates)
-            priority, _, token = heapq.heappop(queue)
+            priority, _, _, token = heapq.heappop(queue)
             if token["live"]:
                 token["live"] = False
                 self._live -= 1
@@ -237,14 +251,15 @@ class ProximityGuidedSearcher(Searcher):
         The score is the same combined priority the queues order by
         (phase progress + path distance + schedule-distance bias) against
         the final goal, so proximity-band sharding sees the search's own
-        notion of "close".
+        notion of "close".  Equal scores order by path length, then by
+        insertion order (the sort is stable), as the queues do.
         """
         scored = [
             (self._priority(state, self.state_distance(state, self.final_goal)),
              state)
             for state in self.drain()
         ]
-        scored.sort(key=lambda pair: pair[0])
+        scored.sort(key=lambda pair: (pair[0], pair[1].steps))
         return scored
 
     def boost(self, state: ExecutionState) -> None:

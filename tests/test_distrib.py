@@ -223,7 +223,7 @@ class TestBudgetAccounting:
     def test_replayed_sync_instructions_charged_once(self):
         """Satellite fix: a woken thread re-executes the blocking lock/wait/
         join instruction; the engine's budget must charge it once."""
-        workload = get("hawknl")
+        workload = get("minidb")  # its deadlock search wakes blocked threads
         module = workload.compile()
         setup = build_search_setup(module, workload.make_report(), ESDConfig())
         outcome = explore(
@@ -342,7 +342,8 @@ class TestGracefulShutdown:
                                 checkpoint_interval=3600.0)
         import threading
 
-        timer = threading.Timer(0.3, pool.request_shutdown)
+        # The pooled search takes ~0.3 s; an early request lands mid-search.
+        timer = threading.Timer(0.05, pool.request_shutdown)
         timer.start()
         try:
             result = pool.run()

@@ -47,12 +47,21 @@ def hard():
     return workload
 
 
+def hard_config():
+    """Two-instruction search batches: ghttpd-hard6 then takes seconds to
+    search (~4,500 states), long enough to cancel, interrupt or inspect the
+    job while it is searching."""
+    config = wide_config()
+    config.budget.batch_instructions = 2
+    return config
+
+
 def submit_hard(service, workload, description="hard"):
     report = workload.make_report()
     report.description = description
     return service.submit(JobSpec(
         report=report, source=workload.source, program_name=workload.name,
-        config=wide_config(),
+        config=hard_config(),
     ))
 
 

@@ -32,10 +32,13 @@ def client(daemon):
 
 
 def hard_spec(description="http-hard"):
-    workload = hard_workload(4)
+    # Two-instruction search batches: ghttpd-hard6 then takes seconds to
+    # search, so the job is still searching when the test asks for results.
+    workload = hard_workload(6)
     report = workload.make_report()
     report.description = description
     config = ESDConfig()
+    config.budget.batch_instructions = 2
     config.budget.max_seconds = 300.0
     config.budget.max_instructions = 100_000_000
     return JobSpec(report=report, source=workload.source,

@@ -60,7 +60,7 @@ class TestRoundTripFidelity:
                 verify_roundtrip(state)
 
     def test_blocked_threads_and_replay_flags_survive(self):
-        states = _mid_exploration_frontier("hawknl", instructions=1500)
+        states = _mid_exploration_frontier("hawknl", instructions=1000)
         blocked = [
             s for s in states
             for t in s.threads.values() if t.status == "blocked"
@@ -100,7 +100,7 @@ class TestRoundTripFidelity:
         assert snapshot_states(restored) == payload
 
     def test_restored_siblings_share_variables(self):
-        states = _mid_exploration_frontier("hawknl", instructions=1500)
+        states = _mid_exploration_frontier("hawknl", instructions=1000)
         assert len(states) >= 2
         restored = restore_states(snapshot_states(states))
         vars_by_name = {}
