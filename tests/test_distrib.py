@@ -337,12 +337,17 @@ class TestGracefulShutdown:
         config = ESDConfig()
         config.budget.max_instructions = 100_000_000
         config.budget.max_seconds = 300.0
-        pool = ParallelExplorer(module, report, config, workers=2,
+        # One worker: the master acts on the request at a quantum boundary,
+        # so the checkpoint holds one of a few fixed frontiers.  A second
+        # worker would stop mid-quantum wherever the cancel found it, and
+        # some of those frontiers resume to a different, equally valid
+        # execution.
+        pool = ParallelExplorer(module, report, config, workers=1,
                                 checkpoint_path=str(ckpt),
                                 checkpoint_interval=3600.0)
         import threading
 
-        # The pooled search takes ~0.3 s; an early request lands mid-search.
+        # The search takes ~0.3 s; an early request lands mid-search.
         timer = threading.Timer(0.05, pool.request_shutdown)
         timer.start()
         try:
