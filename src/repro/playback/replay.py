@@ -162,6 +162,17 @@ def _play_happens_before(
     events = execution.happens_before
     total = 0
 
+    def step(state: ExecutionState, tid: int) -> ExecutionState:
+        nonlocal total
+        state.current_tid = tid
+        successors = executor.step(state)
+        if len(successors) != 1:
+            raise PlaybackDivergence("playback execution forked")
+        total += 1
+        if total > max_steps:
+            raise PlaybackDivergence("playback exceeded step budget")
+        return successors[0]
+
     for position, event in enumerate(events):
         if state.terminated:
             break
@@ -183,14 +194,7 @@ def _play_happens_before(
                     f"event #{position}: thread {event.tid} is "
                     f"{current.status if current else 'gone'}, expected runnable"
                 )
-            state.current_tid = event.tid
-            successors = executor.step(state)
-            if len(successors) != 1:
-                raise PlaybackDivergence("playback execution forked")
-            state = successors[0]
-            total += 1
-            if total > max_steps:
-                raise PlaybackDivergence("playback exceeded step budget")
+            state = step(state, event.tid)
         if state.terminated and len(state.sync_log) == logged:
             break
         produced = state.sync_log[-1]
@@ -206,14 +210,7 @@ def _play_happens_before(
         while not state.terminated and not _at_preemption_point(
             module, state.threads[event.tid]
         ):
-            state.current_tid = event.tid
-            successors = executor.step(state)
-            if len(successors) != 1:
-                raise PlaybackDivergence("playback execution forked")
-            state = successors[0]
-            total += 1
-            if total > max_steps:
-                raise PlaybackDivergence("playback exceeded step budget")
+            state = step(state, event.tid)
 
     guard = 0
     while not state.terminated:
