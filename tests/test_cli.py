@@ -224,7 +224,10 @@ class TestGracefulInterrupt:
         if not parallel_supported():
             pytest.skip("parallel pool requires fork")
 
-        workload = hard_workload(4)
+        # Breadth-first over ghttpd-hard3: a ~2 s pooled search (the guided
+        # search crosses the plateau in a fraction of a second), so the
+        # signal lands mid-search.
+        workload = hard_workload(3)
         program = tmp_path / "hard.minic"
         program.write_text(workload.source)
         dump = tmp_path / "report.json"
@@ -238,7 +241,7 @@ class TestGracefulInterrupt:
             [sys.executable, "-m", "repro", "synth", str(dump), str(program),
              "-o", str(tmp_path / "never.json"), "--workers", "2",
              "--checkpoint", str(ckpt), "--checkpoint-interval", "0.05",
-             "--max-instructions", "100000000"],
+             "--max-instructions", "100000000", "--strategy", "bfs"],
             env=env, stderr=subprocess.PIPE, text=True,
         )
         deadline = time.monotonic() + 20.0
