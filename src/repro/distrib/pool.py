@@ -824,7 +824,13 @@ def _worker_loop(conn, shard_id: int, module, report, config, statics,
     executor = setup.executor
     executor.observer = observer
     solver_base = _solver_snapshot(solver.stats)
-    seeds: list[ExecutionState] = list(shard)
+    # The shard goes into the searcher now, not with the first quantum: an
+    # export or steal that arrives before any quantum (a shutdown right
+    # after sharding) must see it.  A shard never holds a goal state: the
+    # search that dealt it would have stopped there.
+    for state in shard:
+        searcher.add(state)
+    seeds: list[ExecutionState] = []
     while True:
         try:
             op, arg = conn.recv()

@@ -341,18 +341,14 @@ class TestGracefulShutdown:
         config = ESDConfig()
         config.budget.max_instructions = 100_000_000
         config.budget.max_seconds = 300.0
-        # One worker: the master acts on the request at a quantum boundary,
-        # so the checkpoint holds one of a few fixed frontiers.  A second
-        # worker would stop mid-quantum wherever the cancel found it, and
-        # some of those frontiers resume to a different, equally valid
-        # execution.
-        pool = ParallelExplorer(module, report, config, workers=1,
+        pool = ParallelExplorer(module, report, config, workers=2,
                                 checkpoint_path=str(ckpt),
                                 checkpoint_interval=3600.0)
         import threading
 
-        # The search takes ~0.3 s; an early request lands mid-search.
-        timer = threading.Timer(0.05, pool.request_shutdown)
+        # The pooled search takes ~0.5 s; a request at 0.15 s lands
+        # mid-search.
+        timer = threading.Timer(0.15, pool.request_shutdown)
         timer.start()
         try:
             result = pool.run()
@@ -371,3 +367,31 @@ class TestGracefulShutdown:
         serial = ReproSession(module).synthesize(report)
         assert (resumed.execution_file.fingerprint()
                 == serial.execution_file.fingerprint())
+
+    def test_shutdown_before_the_first_quantum_keeps_the_shards(
+            self, tmp_path):
+        """A shutdown request that lands after sharding, before any worker
+        ran a quantum, checkpoints the workers' whole shards -- not an
+        empty frontier that resumes to 'exhausted'."""
+        workload = hard_workload(6)
+        module, report = workload.compile(), workload.make_report()
+        ckpt = tmp_path / "final.json"
+
+        class ShutdownAfterSharding(ParallelExplorer):
+            dealt = 0
+
+            def _spawn(self, shards, setup):
+                handles = super()._spawn(shards, setup)
+                self.dealt = sum(len(shard) for shard in shards)
+                self.request_shutdown()
+                return handles
+
+        pool = ShutdownAfterSharding(module, report, ESDConfig(), workers=2,
+                                     checkpoint_path=str(ckpt),
+                                     checkpoint_interval=3600.0)
+        result = pool.run()
+        assert result.reason == "interrupted"
+        loaded = ExplorationCheckpoint.load(ckpt)
+        assert loaded.pending == pool.dealt > 0
+        resumed = ReproSession.from_checkpoint(loaded).resume(loaded)
+        assert resumed.found
