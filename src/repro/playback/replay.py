@@ -9,8 +9,9 @@ Two modes, as in the paper:
   necessary to satisfy the happens-before relations in the execution file":
   the replayer gates each thread at its next synchronization operation until
   that operation is the earliest unconsumed event of the recorded order.
-  After the operation the thread runs on to its next preemption point, as
-  it did during synthesis.
+  After the operation the thread runs on to its next sync instruction, as
+  it usually did during synthesis (not after a thread create; see
+  :func:`_play_happens_before`).
 
 Both run the program concretely (inputs come from the execution file), so
 playback is deterministic and repeatable -- attach the debugger, replay,
@@ -138,7 +139,7 @@ def _play_strict(
 # Happens-before replay
 # ---------------------------------------------------------------------------
 
-# Instructions before which a schedule policy may switch threads.
+# Instructions before which the deadlock schedule policy may switch threads.
 _SYNC_INSTRS = (ir.MutexLock, ir.MutexUnlock, ir.CondWait, ir.CondSignal,
                 ir.ThreadCreate, ir.ThreadJoin)
 
@@ -203,14 +204,19 @@ def _play_happens_before(
                 f"event #{position}: expected {event.op} by thread {event.tid}, "
                 f"got {produced.op} by thread {produced.tid}"
             )
-        # Synthesis preempts a thread only before a sync instruction or at
-        # its exit, so the thread ran on to that point before any other
-        # thread did -- including reads of shared data that a later event
-        # of another thread changes.  Replay that stretch now.
-        while not state.terminated and not _at_preemption_point(
-            module, state.threads[event.tid]
-        ):
-            state = step(state, event.tid)
+        # During synthesis a thread usually ran on from a sync operation
+        # to its next sync instruction before another thread ran, reads of
+        # shared data included (hawknl's nl_shutdown reads sock_open before
+        # nl_close clears it), so replay that stretch now.  The deadlock
+        # policy breaks the rule in two places the file does not record:
+        # it forks right after a create, where the child may run first (so
+        # a create is not run on), and it switches threads right after a
+        # reported inner lock is acquired (not followed here).
+        if produced.op != "create":
+            while not state.terminated and not _at_preemption_point(
+                module, state.threads[event.tid]
+            ):
+                state = step(state, event.tid)
 
     guard = 0
     while not state.terminated:

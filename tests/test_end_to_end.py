@@ -54,6 +54,34 @@ int main() {
 }
 """
 
+# ABBA, but the worker takes its locks only if it reads ``flag`` before
+# main sets it: the deadlock needs a switch right after the spawn.
+ABBA_AFTER_SPAWN = """
+int flag = 0;
+mutex A;
+mutex B;
+
+void worker(int unused) {
+    if (flag == 0) {
+        lock(B);
+        lock(A);
+        unlock(A);
+        unlock(B);
+    }
+}
+
+int main() {
+    int t = spawn(worker, 0);
+    flag = 1;
+    lock(A);
+    lock(B);
+    unlock(B);
+    unlock(A);
+    join(t);
+    return 0;
+}
+"""
+
 CRASH = """
 int parse_mode(int *s) {
     if (s[0] == 'x' && s[1] == 'y') {
@@ -76,6 +104,27 @@ def make_abba_report():
     module = compile_source(ABBA, "abba")
     main_locks = lock_refs(module, "main")
     policy = ForcedSchedulePolicy([Directive(main_locks[0], 0, 1)])
+    executor = Executor(module, env=ConcreteEnv(RecordedInputs()), policy=policy)
+    state = executor.run_to_completion(executor.initial_state())
+    assert state.status == "bug"
+    assert state.bug.kind is BugKind.DEADLOCK
+    dump = coredump_from_state(module, state)
+    return module, BugReport(dump, "deadlock")
+
+
+def make_abba_after_spawn_report():
+    """The worker runs right after the spawn and again after taking B."""
+    module = compile_source(ABBA_AFTER_SPAWN, "abba_after_spawn")
+    spawn = next(
+        ref for ref, instr in module.functions["main"].iter_instructions()
+        if isinstance(instr, ir.ThreadCreate)
+    )
+    # A create directive names the instruction after the spawn.
+    after_spawn = ir.InstrRef(spawn.function, spawn.block, spawn.index + 1)
+    policy = ForcedSchedulePolicy([
+        Directive(after_spawn, 0, 1),
+        Directive(lock_refs(module, "worker")[0], 1, 0),
+    ])
     executor = Executor(module, env=ConcreteEnv(RecordedInputs()), policy=policy)
     state = executor.run_to_completion(executor.initial_state())
     assert state.status == "bug"
@@ -194,6 +243,20 @@ class TestPlayback:
         playback = play_back(module, result.execution_file, mode="happens-before")
         assert playback.bug_reproduced
         assert playback.bug.kind is BugKind.DEADLOCK
+
+    def test_happens_before_playback_leaves_a_spawn_to_the_child(self):
+        """The deadlock needs the worker to read ``flag`` before main's
+        store right after the spawn: happens-before playback must not run
+        main on past the spawn before the worker's first event."""
+        module, report = make_abba_after_spawn_report()
+        result = esd_synthesize(
+            module, report, ESDConfig(budget=SearchBudget(max_seconds=60))
+        )
+        assert result.found
+        for mode in ("strict", "happens-before"):
+            playback = play_back(module, result.execution_file, mode=mode)
+            assert playback.bug_reproduced, mode
+            assert playback.bug.kind is BugKind.DEADLOCK
 
     def test_strict_playback_reproduces_crash(self, crash_synthesis):
         module, _, result = crash_synthesis
