@@ -219,16 +219,14 @@ class TestGracefulInterrupt:
         from repro.cli import repro_main
         from repro.core import ExecutionFile
         from repro.distrib import parallel_supported
-        from repro.workloads.ghttpd import hard_workload
 
         if not parallel_supported():
             pytest.skip("parallel pool requires fork")
 
-        # Breadth-first over ghttpd-hard3: a ~2 s pooled search (the guided
-        # search crosses the plateau in a fraction of a second), so the
-        # signal lands mid-search.
-        workload = hard_workload(3)
-        program = tmp_path / "hard.minic"
+        # ls4 at search seed 2: a ~10 s guided search, so the signal lands
+        # mid-search (ghttpd-hard now takes a fraction of a second).
+        workload = get("ls4")
+        program = tmp_path / "ls4.minic"
         program.write_text(workload.source)
         dump = tmp_path / "report.json"
         dump.write_text(json.dumps(workload.make_report().to_dict()))
@@ -241,7 +239,7 @@ class TestGracefulInterrupt:
             [sys.executable, "-m", "repro", "synth", str(dump), str(program),
              "-o", str(tmp_path / "never.json"), "--workers", "2",
              "--checkpoint", str(ckpt), "--checkpoint-interval", "0.05",
-             "--max-instructions", "100000000", "--strategy", "bfs"],
+             "--max-instructions", "100000000", "--seed", "2"],
             env=env, stderr=subprocess.PIPE, text=True,
         )
         deadline = time.monotonic() + 20.0
@@ -262,7 +260,7 @@ class TestGracefulInterrupt:
         assert "repro resume" in stderr  # the hint names the next command
         assert ckpt.exists()
         assert repro_main(["resume", str(ckpt), "-o", str(out)]) == 0
-        assert ExecutionFile.load(out).bug_kind == "buffer-overflow"
+        assert ExecutionFile.load(out).bug_kind == "null-dereference"
 
 
 class TestPythonFrontendCLI:
