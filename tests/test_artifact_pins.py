@@ -80,6 +80,12 @@ def _renumbered(records: list) -> list:
 
 def measure(name: str) -> dict:
     """Synthesize ``name`` serially in a cold session; return its pins."""
+    return synthesize(name)[3]
+
+
+def synthesize(name: str):
+    """Synthesize ``name`` serially in a cold session; return the workload,
+    the compiled module, the synthesis result and its pins."""
     workload = _workload(name)
     module = workload.compile()
     events: list = []
@@ -90,7 +96,7 @@ def measure(name: str) -> dict:
     records = _renumbered(session.flight_document()["records"])
     observed = [[e.kind, e.picks, e.instructions, e.states, e.pending,
                  e.reason, e.detail] for e in events]
-    return {
+    return workload, module, result, {
         "found": result.found,
         "sha256": hashlib.sha256(
             result.execution_file.canonical_bytes()).hexdigest()
@@ -118,23 +124,15 @@ def _pins() -> dict:
 
 @pytest.mark.parametrize("name", pinned_names())
 def test_artifact_and_counters_match_pins(name):
-    assert measure(name) == _pins()[name]
-
-
-@pytest.mark.parametrize("name", [name for name in pinned_names()
-                                  if _workload(name).bug_type == "deadlock"])
-def test_concurrency_pins_play_back_in_both_modes(name):
-    """Each pinned deadlock execution reproduces its bug under strict and
-    happens-before playback alike."""
-    workload = _workload(name)
-    module = workload.compile()
-    result = ReproSession(module, workers=1).synthesize(workload.make_report())
-    execution = result.execution_file
-    assert (hashlib.sha256(execution.canonical_bytes()).hexdigest()
-            == _pins()[name]["sha256"])
-    verdicts = {mode: play_back(module, execution, mode=mode).bug_reproduced
-                for mode in ("strict", "happens-before")}
-    assert verdicts == {"strict": True, "happens-before": True}
+    workload, module, result, pins = synthesize(name)
+    assert pins == _pins()[name]
+    if workload.bug_type == "deadlock":
+        verdicts = {
+            mode: play_back(module, result.execution_file,
+                            mode=mode).bug_reproduced
+            for mode in ("strict", "happens-before")
+        }
+        assert verdicts == {"strict": True, "happens-before": True}
 
 
 if __name__ == "__main__":
