@@ -10,10 +10,11 @@ The other byte-identity tests compare two modes of one build; these pins
 catch a change to the interpreter, the fork, or the searcher that moves
 an artifact or a counter between builds.
 
-Three more digests pin what the compilers and the search's observers
-produce: the printed IR of the compiled module, the flight log's
-records (state ids renumbered), and the progress events (everything
-but their timing).  Every pinned deadlock execution must also play back
+Four more digests pin what the compilers and the search's observers
+produce: the printed IR of the compiled module, the source line of
+every instruction (printed IR omits it), the flight log's records
+(state ids renumbered), and the progress events (everything but their
+timing).  Every pinned deadlock execution must also play back
 in both strict and happens-before mode.
 
 Regenerate the pins (only for a change that is meant to move them, and
@@ -78,6 +79,13 @@ def _renumbered(records: list) -> list:
     return renumbered
 
 
+def _lines(module) -> list:
+    """``(function, block, index, line)`` of every instruction."""
+    return [[ref.function, ref.block, ref.index, instr.line]
+            for func in module.functions.values()
+            for ref, instr in func.iter_instructions()]
+
+
 def measure(name: str) -> dict:
     """Synthesize ``name`` serially in a cold session; return its pins."""
     return synthesize(name)[3]
@@ -109,6 +117,7 @@ def synthesize(name: str):
         "states_merged": totals.states_merged,
         "solver_queries": session.solver_stats.queries,
         "ir_sha256": _sha256(format_module(module)),
+        "lines_sha256": _sha256(json.dumps(_lines(module))),
         "flight_sha256": _sha256(json.dumps(records, sort_keys=True)),
         "events_sha256": _sha256(json.dumps(observed)),
     }
