@@ -183,9 +183,3 @@ class Module:
             f"{len(self.globals)} globals, {self.size} instrs>"
         )
 
-
-def instr_operand_regs(instr: Instr) -> list[str]:
-    """Names of registers read by ``instr``."""
-    from .values import Reg
-
-    return [op.name for op in instr.operands() if isinstance(op, Reg)]

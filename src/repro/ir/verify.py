@@ -15,11 +15,12 @@ from .instructions import (
     BinOp,
     Call,
     CondBr,
+    Instr,
     Intrinsic,
     UnOp,
 )
-from .module import Function, Module, instr_operand_regs
-from .values import FuncRef, GlobalRef
+from .module import Function, Module
+from .values import FuncRef, GlobalRef, Reg
 
 
 class VerificationError(Exception):
@@ -38,48 +39,50 @@ def _verify_function(module: Module, func: Function) -> None:
     if func.entry not in func.blocks:
         raise VerificationError(f"{func.name}: missing entry block {func.entry!r}")
 
-    defined: set[str] = set(func.params)
-    for _, instr in func.iter_instructions():
-        name = instr.defined
-        if name is not None:
-            defined.add(name)
+    defined: set[str | None] = set(func.params)
+    for block in func.blocks.values():
+        defined.update(instr.defined for instr in block.instrs)
+        if block.terminator is not None:
+            defined.add(block.terminator.defined)
 
     for label, block in func.blocks.items():
         where = f"{func.name}:{label}"
-        if block.terminator is None:
+        term = block.terminator
+        if term is None:
             raise VerificationError(f"{where}: block is not terminated")
-        for target in block.terminator.successors():
+        for target in term.successors():
             if target not in func.blocks:
                 raise VerificationError(f"{where}: branch to unknown block {target!r}")
-        if isinstance(block.terminator, CondBr):
-            term = block.terminator
-            if term.then_target == term.else_target:
-                raise VerificationError(f"{where}: condbr with identical targets")
+        if isinstance(term, CondBr) and term.then_target == term.else_target:
+            raise VerificationError(f"{where}: condbr with identical targets")
+        for index, instr in enumerate(block.instrs + [term]):
+            problem = _instr_problem(module, instr, defined)
+            if problem is not None:
+                raise VerificationError(f"{where}:{index}: {problem}")
 
-        for index, instr in enumerate(list(block.instrs) + [block.terminator]):
-            at = f"{where}:{index}"
-            if isinstance(instr, BinOp) and instr.op not in BINARY_OPS:
-                raise VerificationError(f"{at}: unknown binary op {instr.op!r}")
-            if isinstance(instr, UnOp) and instr.op not in UNARY_OPS:
-                raise VerificationError(f"{at}: unknown unary op {instr.op!r}")
-            if isinstance(instr, Intrinsic) and instr.name not in INTRINSICS:
-                raise VerificationError(f"{at}: unknown intrinsic {instr.name!r}")
-            if isinstance(instr, Call) and isinstance(instr.callee, FuncRef):
-                if instr.callee.name not in module.functions:
-                    raise VerificationError(
-                        f"{at}: call to unknown function {instr.callee.name!r}"
-                    )
-                callee = module.functions[instr.callee.name]
-                if len(instr.args) != len(callee.params):
-                    raise VerificationError(
-                        f"{at}: call to {callee.name} with {len(instr.args)} args, "
-                        f"expected {len(callee.params)}"
-                    )
-            for reg in instr_operand_regs(instr):
-                if reg not in defined:
-                    raise VerificationError(f"{at}: use of undefined register %{reg}")
-            for op in instr.operands():
-                if isinstance(op, GlobalRef) and op.name not in module.globals:
-                    raise VerificationError(f"{at}: unknown global @{op.name}")
-                if isinstance(op, FuncRef) and op.name not in module.functions:
-                    raise VerificationError(f"{at}: unknown function &{op.name}")
+
+def _instr_problem(module: Module, instr: Instr, defined: set[str | None]) -> str | None:
+    """What is wrong with one instruction, or None."""
+    if isinstance(instr, BinOp) and instr.op not in BINARY_OPS:
+        return f"unknown binary op {instr.op!r}"
+    if isinstance(instr, UnOp) and instr.op not in UNARY_OPS:
+        return f"unknown unary op {instr.op!r}"
+    if isinstance(instr, Intrinsic) and instr.name not in INTRINSICS:
+        return f"unknown intrinsic {instr.name!r}"
+    if isinstance(instr, Call) and isinstance(instr.callee, FuncRef):
+        callee = module.functions.get(instr.callee.name)
+        if callee is None:
+            return f"call to unknown function {instr.callee.name!r}"
+        if len(instr.args) != len(callee.params):
+            return (f"call to {callee.name} with {len(instr.args)} args, "
+                    f"expected {len(callee.params)}")
+    operands = instr.operands()
+    for op in operands:
+        if isinstance(op, Reg) and op.name not in defined:
+            return f"use of undefined register %{op.name}"
+    for op in operands:
+        if isinstance(op, GlobalRef) and op.name not in module.globals:
+            return f"unknown global @{op.name}"
+        if isinstance(op, FuncRef) and op.name not in module.functions:
+            return f"unknown function &{op.name}"
+    return None

@@ -19,9 +19,11 @@ want to see):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .. import ir
 from ..ir.builder import IRBuilder
+from ..ir.values import INT_MAX, INT_MIN
 from . import ast
 from .parser import parse
 from .prelude import needed_prelude
@@ -37,12 +39,28 @@ _BUILTIN_ARITIES = {
 }
 
 
+# Builtins that compile to one instruction without a result.
+_VOID_BUILTINS = {
+    "free": ir.Free, "lock": ir.MutexLock, "unlock": ir.MutexUnlock,
+    "wait": ir.CondWait, "signal": ir.CondSignal,
+    "broadcast": partial(ir.CondSignal, broadcast=True),
+}
+
+
 class CompileError(Exception):
     def __init__(self, message: str, line: int, col: int = 0) -> None:
         where = f"line {line}:{col}" if col else f"line {line}"
         super().__init__(f"{where}: {message}")
         self.line = line
         self.col = col
+
+
+def _in_range(value: int, node: ast.Node) -> int:
+    """A literal's value; one the IR's 32-bit integers cannot hold is an error."""
+    if not INT_MIN <= value <= INT_MAX:
+        raise CompileError(f"integer literal {value} does not fit in 32 bits",
+                           node.line, node.col)
+    return value
 
 
 @dataclass(slots=True)
@@ -78,7 +96,8 @@ class _Compiler(IRBuilder[ast.Stmt, ast.Expr]):
         self._module = ir.Module(name)
         self._module.source_lines = program.source.splitlines()
         self._globals: dict[str, _Symbol] = {}
-        self._func_names = {f.name for f in program.functions}
+        # Name -> parameters; the first definition of a name wins.
+        self._func_params = {f.name: f.params for f in reversed(program.functions)}
         # Per-function state:
         self._locals: dict[str, _Symbol] = {}
         self._loop_stack: list[tuple[str, str]] = []  # (break, continue) labels
@@ -93,7 +112,7 @@ class _Compiler(IRBuilder[ast.Stmt, ast.Expr]):
         return self._module
 
     def _compile_global(self, decl: ast.VarDecl) -> None:
-        if decl.name in self._globals or decl.name in self._func_names:
+        if decl.name in self._globals or decl.name in self._func_params:
             raise CompileError(f"duplicate global {decl.name!r}", decl.line, decl.col)
         if decl.kind in ("mutex", "cond"):
             var = ir.GlobalVar(
@@ -106,8 +125,8 @@ class _Compiler(IRBuilder[ast.Stmt, ast.Expr]):
             )
             return
         if decl.kind == "array":
-            init = list(decl.init_list or [])
-            if len(init) > decl.array_size:
+            init = [_in_range(value, decl) for value in decl.init_list or []]
+            if len(init) > _in_range(decl.array_size, decl):
                 raise CompileError("too many initializers", decl.line, decl.col)
             self._module.add_global(ir.GlobalVar(decl.name, decl.array_size, init))
             self._globals[decl.name] = _Symbol(
@@ -117,14 +136,13 @@ class _Compiler(IRBuilder[ast.Stmt, ast.Expr]):
         init_cells: list[int] = []
         if decl.init is not None:
             value = decl.init
-            negate = False
-            if isinstance(value, ast.Unary) and value.op == "-":
-                negate = True
+            negate = isinstance(value, ast.Unary) and value.op == "-"
+            if negate:
                 value = value.operand
             if not isinstance(value, ast.IntLit):
                 raise CompileError(
                     "global initializers must be integer constants", decl.line, decl.col)
-            init_cells = [-value.value if negate else value.value]
+            init_cells = [_in_range(-value.value if negate else value.value, value)]
         self._module.add_global(ir.GlobalVar(decl.name, 1, init_cells))
         self._globals[decl.name] = _Symbol(decl.name, "scalar", ir.GlobalRef(decl.name))
 
@@ -172,7 +190,7 @@ class _Compiler(IRBuilder[ast.Stmt, ast.Expr]):
         elif isinstance(stmt, ast.Assign):
             self._compile_assign(stmt)
         elif isinstance(stmt, ast.ExprStmt):
-            self._compile_expr(stmt.expr, want_value=False)
+            self._compile_expr(stmt.expr)
         elif isinstance(stmt, ast.If):
             self._lower_if(stmt.cond, stmt.then_body, stmt.else_body, stmt.line)
         elif isinstance(stmt, ast.While):
@@ -199,12 +217,13 @@ class _Compiler(IRBuilder[ast.Stmt, ast.Expr]):
     def _compile_local_decl(self, decl: ast.VarDecl) -> None:
         if decl.kind in ("mutex", "cond"):
             raise CompileError("mutex/cond must be declared at global scope", decl.line, decl.col)
-        size = decl.array_size if decl.kind == "array" else 1
+        size = _in_range(decl.array_size, decl) if decl.kind == "array" else 1
         kind = "array" if decl.kind == "array" else "scalar"
         symbol = self._declare_local(decl.name, kind, size, decl.line,
                                      decl.col)
         if decl.init_list is not None:
             for offset, value in enumerate(decl.init_list):
+                _in_range(value, decl)
                 addr = self._temp()
                 self._emit(
                     ir.Gep(addr, symbol.address, ir.Const(offset), line=decl.line)
@@ -286,9 +305,9 @@ class _Compiler(IRBuilder[ast.Stmt, ast.Expr]):
             return self._compile_expr(expr.operand)
         raise CompileError("expression is not assignable", expr.line, expr.col)
 
-    def _compile_expr(self, expr: ast.Expr, want_value: bool = True) -> ir.Value:
+    def _compile_expr(self, expr: ast.Expr) -> ir.Value:
         if isinstance(expr, ast.IntLit):
-            return ir.Const(expr.value)
+            return ir.Const(_in_range(expr.value, expr))
         if isinstance(expr, ast.StrLit):
             return ir.GlobalRef(self._module.intern_string(expr.value))
         if isinstance(expr, ast.Ident):
@@ -298,19 +317,16 @@ class _Compiler(IRBuilder[ast.Stmt, ast.Expr]):
         if isinstance(expr, ast.Binary):
             return self._compile_binary(expr)
         if isinstance(expr, ast.Index):
-            base = self._compile_expr(expr.base)
-            index = self._compile_expr(expr.index)
-            addr = self._temp()
-            self._emit(ir.Gep(addr, base, index, line=expr.line))
+            addr = self._compile_lvalue(expr)
             dst = self._temp()
             self._emit(ir.Load(dst, addr, line=expr.line))
             return dst
         if isinstance(expr, ast.CallExpr):
-            return self._compile_call(expr, want_value)
+            return self._compile_call(expr)
         raise CompileError(f"unsupported expression {expr!r}", expr.line, expr.col)
 
     def _compile_ident(self, expr: ast.Ident) -> ir.Value:
-        if expr.name in self._func_names and expr.name not in self._locals:
+        if expr.name in self._func_params and expr.name not in self._locals:
             return ir.FuncRef(expr.name)
         symbol = self._lookup(expr.name, expr.line, expr.col)
         if symbol.kind in ("array", "mutex", "cond"):
@@ -323,7 +339,7 @@ class _Compiler(IRBuilder[ast.Stmt, ast.Expr]):
         if expr.op == "&":
             if isinstance(expr.operand, ast.Ident):
                 name = expr.operand.name
-                if name in self._func_names and name not in self._locals:
+                if name in self._func_params and name not in self._locals:
                     return ir.FuncRef(name)
                 return self._lookup(name, expr.line, expr.col).address
             if isinstance(expr.operand, ast.Index):
@@ -333,6 +349,9 @@ class _Compiler(IRBuilder[ast.Stmt, ast.Expr]):
                 self._emit(ir.Gep(addr, base, index, line=expr.line))
                 return addr
             raise CompileError("cannot take address of expression", expr.line, expr.col)
+        if expr.op == "-" and isinstance(expr.operand, ast.IntLit):
+            # C spells INT_MIN as -2147483648: the literal alone is too big.
+            return ir.Const(_in_range(-expr.operand.value, expr.operand))
         if expr.op == "*":
             ptr = self._compile_expr(expr.operand)
             dst = self._temp()
@@ -362,19 +381,19 @@ class _Compiler(IRBuilder[ast.Stmt, ast.Expr]):
 
     # -- calls --------------------------------------------------------------------
 
-    def _compile_call(self, expr: ast.CallExpr, want_value: bool) -> ir.Value:
+    def _compile_call(self, expr: ast.CallExpr) -> ir.Value:
         callee = expr.callee
         if isinstance(callee, ast.Ident):
             name = callee.name
-            if name in _BUILTIN_ARITIES and name not in self._func_names:
+            if name in _BUILTIN_ARITIES and name not in self._func_params:
                 return self._compile_builtin(name, expr)
-            if name in self._func_names and name not in self._locals:
+            if name in self._func_params and name not in self._locals:
                 args = [self._compile_expr(arg) for arg in expr.args]
-                want = len(self._program_params(name))
+                want = len(self._func_params[name])
                 if len(args) != want:
                     raise CompileError(
                         f"{name}() takes {want} args, got {len(args)}", expr.line, expr.col)
-                dst = self._temp() if want_value else self._temp()
+                dst = self._temp()
                 self._emit(ir.Call(dst, ir.FuncRef(name), args, line=expr.line))
                 return dst
         # Indirect call through a function-pointer value.
@@ -383,12 +402,6 @@ class _Compiler(IRBuilder[ast.Stmt, ast.Expr]):
         dst = self._temp()
         self._emit(ir.Call(dst, target, args, line=expr.line))
         return dst
-
-    def _program_params(self, name: str) -> list[str]:
-        for func in self._program.functions:
-            if func.name == name:
-                return func.params
-        raise KeyError(name)
 
     def _compile_builtin(self, name: str, expr: ast.CallExpr) -> ir.Value:
         arity = _BUILTIN_ARITIES[name]
@@ -406,23 +419,8 @@ class _Compiler(IRBuilder[ast.Stmt, ast.Expr]):
             dst = self._temp()
             self._emit(ir.Alloc(dst, args[0], heap=True, name="malloc", line=line))
             return dst
-        if name == "free":
-            self._emit(ir.Free(args[0], line=line))
-            return ir.Const(0)
-        if name == "lock":
-            self._emit(ir.MutexLock(args[0], line=line))
-            return ir.Const(0)
-        if name == "unlock":
-            self._emit(ir.MutexUnlock(args[0], line=line))
-            return ir.Const(0)
-        if name == "wait":
-            self._emit(ir.CondWait(args[0], args[1], line=line))
-            return ir.Const(0)
-        if name == "signal":
-            self._emit(ir.CondSignal(args[0], broadcast=False, line=line))
-            return ir.Const(0)
-        if name == "broadcast":
-            self._emit(ir.CondSignal(args[0], broadcast=True, line=line))
+        if name in _VOID_BUILTINS:
+            self._emit(_VOID_BUILTINS[name](*args, line=line))
             return ir.Const(0)
         if name == "spawn":
             dst = self._temp()

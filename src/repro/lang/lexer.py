@@ -4,12 +4,17 @@ MiniC stands in for the C programs the paper compiles to LLVM bitcode.  The
 lexer keeps 1-based line numbers on every token; lines flow through the
 compiler into the IR so coredumps and the debugger can report source
 positions, like the paper's gdb-based playback.
+
+Tokenizing is one compiled master regex matched in a loop: each match
+swallows the blanks before a token, and its named group says what the token
+is.  Block comments and quoted literals are finished by hand, because their
+errors carry positions the regex cannot.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterator
 
 KEYWORDS = frozenset(
     {
@@ -18,12 +23,27 @@ KEYWORDS = frozenset(
     }
 )
 
-# Multi-character operators, longest first so maximal munch works.
-_OPERATORS = [
-    "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
-    "+", "-", "*", "/", "%", "<", ">", "=", "!", "~", "&", "|", "^",
-    "(", ")", "{", "}", "[", "]", ",", ";",
-]
+# One alternative per token class, tried in order; two-character operators
+# come before their one-character prefixes, so maximal munch holds.  Integer
+# literals are ASCII digits.  An identifier starts with a letter or ``_`` and
+# goes on with letters, digits or ``_`` (``\w`` is exactly ``str.isalnum()``
+# or ``_``); ``word`` catches a ``\w`` run that starts outside ASCII, which
+# is an identifier when it starts with a letter and a stray digit otherwise.
+_TOKEN = re.compile(
+    r"""[ \t\r]*(?:
+      (?P<ident>[A-Za-z_]\w*)
+    | (?P<comment>//[^\n]*|/\*)
+    | (?P<op><<|>>|<=|>=|==|!=|&&|\|\||[-+*/%<>=!~&|^(){}\[\],;])
+    | (?P<newline>\n)
+    | (?P<int>[0-9]+)
+    | (?P<char>')
+    | (?P<string>")
+    | (?P<word>\w+)
+    | (?P<end>\Z)
+    )""",
+    re.VERBOSE,
+)
+_BLANKS = re.compile(r"[ \t\r]*")
 
 
 class LexError(Exception):
@@ -34,7 +54,7 @@ class LexError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Token:
     kind: str  # 'int', 'char', 'string', 'ident', 'kw', 'op', 'eof'
     text: str
@@ -50,71 +70,54 @@ _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "0": "\0", "\\": "\\", "'": "'", '"
 
 
 def tokenize(source: str) -> list[Token]:
-    return list(_tokens(source))
-
-
-def _tokens(source: str) -> Iterator[Token]:
+    tokens: list[Token] = []
+    append = tokens.append
+    match = _TOKEN.match
     pos = 0
     line = 1
     line_start = 0  # index of the first character of the current line
-    n = len(source)
-    while pos < n:
-        ch = source[pos]
-        col = pos - line_start + 1
-        if ch == "\n":
+    while True:
+        m = match(source, pos)
+        if m is None:
+            pos = _BLANKS.match(source, pos).end()
+            raise LexError(f"unexpected character {source[pos]!r}", line, pos - line_start + 1)
+        kind = m.lastgroup
+        start, pos = m.span(kind)
+        col = start - line_start + 1
+        if kind == "ident":
+            text = source[start:pos]
+            append(Token("kw" if text in KEYWORDS else "ident", text, line, 0, col))
+        elif kind == "op":
+            append(Token("op", source[start:pos], line, 0, col))
+        elif kind == "newline":
             line += 1
-            pos += 1
             line_start = pos
-            continue
-        if ch in " \t\r":
-            pos += 1
-            continue
-        if source.startswith("//", pos):
-            end = source.find("\n", pos)
-            pos = n if end < 0 else end
-            continue
-        if source.startswith("/*", pos):
-            end = source.find("*/", pos + 2)
-            if end < 0:
-                raise LexError("unterminated block comment", line, col)
-            line += source.count("\n", pos, end)
-            newline = source.rfind("\n", pos, end + 2)
-            if newline >= 0:
-                line_start = newline + 1
-            pos = end + 2
-            continue
-        if ch.isdigit():
-            start = pos
-            while pos < n and source[pos].isdigit():
-                pos += 1
+        elif kind == "int":
             text = source[start:pos]
-            yield Token("int", text, line, value=int(text), col=col)
-            continue
-        if ch.isalpha() or ch == "_":
-            start = pos
-            while pos < n and (source[pos].isalnum() or source[pos] == "_"):
-                pos += 1
-            text = source[start:pos]
-            kind = "kw" if text in KEYWORDS else "ident"
-            yield Token(kind, text, line, col=col)
-            continue
-        if ch == "'":
-            value, pos = _char_literal(source, pos, line)
-            yield Token("char", source[pos - 1], line, value=value, col=col)
-            continue
-        if ch == '"':
-            text, pos, new_line = _string_literal(source, pos, line)
-            yield Token("string", text, new_line, col=col)
-            line = new_line
-            continue
-        for op in _OPERATORS:
-            if source.startswith(op, pos):
-                yield Token("op", op, line, col=col)
-                pos += len(op)
-                break
-        else:
-            raise LexError(f"unexpected character {ch!r}", line, col)
-    yield Token("eof", "", line, col=pos - line_start + 1)
+            append(Token("int", text, line, int(text), col))
+        elif kind == "comment":
+            if source[start + 1] == "*":
+                end = source.find("*/", pos)
+                if end < 0:
+                    raise LexError("unterminated block comment", line, col)
+                line += source.count("\n", start, end)
+                newline = source.rfind("\n", start, end + 2)
+                if newline >= 0:
+                    line_start = newline + 1
+                pos = end + 2
+        elif kind == "char":
+            value, pos = _char_literal(source, start, line)
+            append(Token("char", source[start:pos], line, value, col))
+        elif kind == "string":
+            text, pos = _string_literal(source, start, line)
+            append(Token("string", text, line, 0, col))
+        elif kind == "word":
+            if not source[start].isalpha():
+                raise LexError(f"non-ASCII digit {source[start]!r}", line, col)
+            append(Token("ident", source[start:pos], line, 0, col))
+        else:  # end
+            append(Token("eof", "", line, 0, col))
+            return tokens
 
 
 def _char_literal(source: str, pos: int, line: int) -> tuple[int, int]:
@@ -126,31 +129,27 @@ def _char_literal(source: str, pos: int, line: int) -> tuple[int, int]:
         pos += 1
         if pos >= len(source) or source[pos] not in _ESCAPES:
             raise LexError("bad escape in char literal", line)
-        value = ord(_ESCAPES[source[pos]])
-    else:
-        value = ord(ch)
+        ch = _ESCAPES[source[pos]]
     pos += 1
     if pos >= len(source) or source[pos] != "'":
         raise LexError("unterminated char literal", line)
-    return value, pos + 1
+    return ord(ch), pos + 1
 
 
-def _string_literal(source: str, pos: int, line: int) -> tuple[str, int, int]:
-    start_line = line
+def _string_literal(source: str, pos: int, line: int) -> tuple[str, int]:
     pos += 1  # opening quote
     chars: list[str] = []
     while pos < len(source):
         ch = source[pos]
         if ch == '"':
-            return "".join(chars), pos + 1, line
+            return "".join(chars), pos + 1
         if ch == "\n":
             raise LexError("newline in string literal", line)
         if ch == "\\":
             pos += 1
             if pos >= len(source) or source[pos] not in _ESCAPES:
                 raise LexError("bad escape in string literal", line)
-            chars.append(_ESCAPES[source[pos]])
-        else:
-            chars.append(ch)
+            ch = _ESCAPES[source[pos]]
+        chars.append(ch)
         pos += 1
-    raise LexError("unterminated string literal", start_line)
+    raise LexError("unterminated string literal", line)

@@ -30,6 +30,9 @@ _PRECEDENCE = [
     ["*", "/", "%"],
 ]
 
+# Binary operator -> its level in _PRECEDENCE.
+_LEVEL = {op: level for level, ops in enumerate(_PRECEDENCE) for op in ops}
+
 _TYPE_KEYWORDS = frozenset({"int", "void", "char"})
 
 
@@ -55,20 +58,20 @@ class _Parser:
         return self._tokens[index]
 
     def _advance(self) -> Token:
-        tok = self._tok
+        tok = self._tokens[self._pos]
         if tok.kind != "eof":
             self._pos += 1
         return tok
 
     def _expect(self, kind: str, text: Optional[str] = None) -> Token:
-        tok = self._tok
+        tok = self._tokens[self._pos]
         if tok.kind != kind or (text is not None and tok.text != text):
             want = text if text is not None else kind
             raise ParseError(f"expected {want!r}, got {tok.text!r}", tok.line, tok.col)
         return self._advance()
 
     def _match(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        tok = self._tok
+        tok = self._tokens[self._pos]
         if tok.kind == kind and (text is None or tok.text == text):
             return self._advance()
         return None
@@ -78,21 +81,20 @@ class _Parser:
     def parse_program(self) -> ast.Program:
         globals_: list[ast.VarDecl] = []
         functions: list[ast.FuncDef] = []
-        while self._tok.kind != "eof":
-            if self._tok.kind != "kw":
-                raise ParseError(
-                    f"expected declaration, got {self._tok.text!r}", self._tok.line, self._tok.col)
-            if self._tok.text in ("mutex", "cond"):
+        while (tok := self._tok).kind != "eof":
+            if tok.kind != "kw":
+                raise ParseError(f"expected declaration, got {tok.text!r}", tok.line, tok.col)
+            if tok.text in ("mutex", "cond"):
                 globals_.append(self._parse_sync_decl())
                 continue
-            if self._tok.text not in _TYPE_KEYWORDS:
-                raise ParseError(f"unexpected keyword {self._tok.text!r}", self._tok.line, self._tok.col)
+            if tok.text not in _TYPE_KEYWORDS:
+                raise ParseError(f"unexpected keyword {tok.text!r}", tok.line, tok.col)
             # Distinguish "int f(...) {" from "int x;" by looking past the name.
             offset = 1
             while self._peek(offset).text == "*":
                 offset += 1
             if self._peek(offset).kind != "ident":
-                raise ParseError("expected name after type", self._tok.line, self._tok.col)
+                raise ParseError("expected name after type", tok.line, tok.col)
             after = self._peek(offset + 1)
             if after.text == "(":
                 functions.append(self._parse_function())
@@ -191,7 +193,7 @@ class _Parser:
             self._expect("op", ";")
             return ast.VarDecl(
                 name.text, "array", array_size=size.value,
-                init_list=init_list, line=start.line,
+                init_list=init_list, line=start.line, col=start.col,
             )
         init = None
         if self._match("op", "="):
@@ -272,21 +274,23 @@ class _Parser:
     def _parse_expression(self) -> ast.Expr:
         return self._parse_binary(0)
 
-    def _parse_binary(self, level: int) -> ast.Expr:
-        if level >= len(_PRECEDENCE):
-            return self._parse_unary()
-        lhs = self._parse_binary(level + 1)
-        ops = _PRECEDENCE[level]
-        while self._tok.kind == "op" and self._tok.text in ops:
-            op = self._advance()
+    def _parse_binary(self, min_level: int) -> ast.Expr:
+        # Precedence climbing: operators of one level associate to the left.
+        tokens = self._tokens
+        lhs = self._parse_unary()
+        while True:
+            tok = tokens[self._pos]
+            level = _LEVEL.get(tok.text) if tok.kind == "op" else None
+            if level is None or level < min_level:
+                return lhs
+            self._pos += 1
             rhs = self._parse_binary(level + 1)
-            lhs = ast.Binary(op.text, lhs, rhs, line=op.line, col=op.col)
-        return lhs
+            lhs = ast.Binary(tok.text, lhs, rhs, line=tok.line, col=tok.col)
 
     def _parse_unary(self) -> ast.Expr:
-        tok = self._tok
+        tok = self._tokens[self._pos]
         if tok.kind == "op" and tok.text in ("-", "!", "~", "*", "&"):
-            self._advance()
+            self._pos += 1
             operand = self._parse_unary()
             return ast.Unary(tok.text, operand, line=tok.line, col=tok.col)
         return self._parse_postfix()
@@ -294,9 +298,9 @@ class _Parser:
     def _parse_postfix(self) -> ast.Expr:
         expr = self._parse_primary()
         while True:
-            tok = self._tok
+            tok = self._tokens[self._pos]
             if tok.kind == "op" and tok.text == "(":
-                self._advance()
+                self._pos += 1
                 args: list[ast.Expr] = []
                 if not self._match("op", ")"):
                     while True:
@@ -306,7 +310,7 @@ class _Parser:
                         self._expect("op", ",")
                 expr = ast.CallExpr(expr, args, line=tok.line, col=tok.col)
             elif tok.kind == "op" and tok.text == "[":
-                self._advance()
+                self._pos += 1
                 index = self._parse_expression()
                 self._expect("op", "]")
                 expr = ast.Index(expr, index, line=tok.line, col=tok.col)
@@ -314,18 +318,18 @@ class _Parser:
                 return expr
 
     def _parse_primary(self) -> ast.Expr:
-        tok = self._tok
+        tok = self._tokens[self._pos]
         if tok.kind in ("int", "char"):
-            self._advance()
+            self._pos += 1
             return ast.IntLit(tok.value, line=tok.line, col=tok.col)
         if tok.kind == "string":
-            self._advance()
+            self._pos += 1
             return ast.StrLit(tok.text, line=tok.line, col=tok.col)
         if tok.kind == "ident":
-            self._advance()
+            self._pos += 1
             return ast.Ident(tok.text, line=tok.line, col=tok.col)
         if tok.kind == "op" and tok.text == "(":
-            self._advance()
+            self._pos += 1
             expr = self._parse_expression()
             self._expect("op", ")")
             return expr

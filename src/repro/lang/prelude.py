@@ -129,6 +129,9 @@ _DEPENDENCIES: dict[str, list[str]] = {
     "strcat": ["strlen"],
 }
 
+# A call of any prelude function, found in one pass over the source.
+_CALLED = re.compile(r"\b(" + "|".join(PRELUDE_FUNCTIONS) + r")\s*\(")
+
 
 def needed_prelude(user_source: str) -> str:
     """Prelude text for every prelude function the user program references
@@ -145,10 +148,9 @@ def needed_prelude(user_source: str) -> str:
         for dep in _DEPENDENCIES.get(name, []):
             want(dep)
 
+    called = set(_CALLED.findall(user_source))
     for name in PRELUDE_FUNCTIONS:
-        if name in defined:
-            continue
-        if re.search(rf"\b{name}\s*\(", user_source):
+        if name in called:
             want(name)
 
     if not wanted:

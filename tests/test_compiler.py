@@ -247,3 +247,44 @@ class TestColumns:
         assert info.value.line == 1
         assert info.value.col == 21
         assert "line 1:21" in str(info.value)
+
+
+class TestLiteralRange:
+    @pytest.mark.parametrize("source, where, value", [
+        ("int main() { return 99999999999; }", (1, 21), 99999999999),
+        ("int main() {\n  return 2147483648;\n}", (2, 10), 2147483648),
+        ("int main() { return -2147483649; }", (1, 22), -2147483649),
+        ("int main() { return 1 - 2147483648; }", (1, 25), 2147483648),
+        ("int g = 2147483648;\nint main() { return g; }", (1, 9), 2147483648),
+        ("int g = -4294967296;\nint main() { return g; }", (1, 10), -4294967296),
+        ("int a[2] = {1, 2147483648};\nint main() { return a[0]; }", (1, 1),
+         2147483648),
+        ("int main() {\n  int a[2] = {-2147483649, 0};\n  return a[0];\n}", (2, 3),
+         -2147483649),
+        ("int a[4294967297];\nint main() { return 0; }", (1, 1), 4294967297),
+        ("int main() {\n  int a[4294967297];\n  return 0;\n}", (2, 3), 4294967297),
+    ])
+    def test_out_of_range_literal_is_rejected(self, source, where, value):
+        with pytest.raises(CompileError) as info:
+            compile_source(source)
+        assert (info.value.line, info.value.col) == where
+        assert f"integer literal {value} does not fit in 32 bits" in str(info.value)
+
+    def test_int_min_spelled_as_negated_literal(self):
+        module = compile_source(
+            "int g = -2147483648;\n"
+            "int a[1] = {-2147483648};\n"
+            "int main() { return -2147483648 + 2147483647; }")
+        assert module.globals["g"].init == [-2**31]
+        assert module.globals["a"].init == [-2**31]
+        ret = [i for i in module.functions["main"].blocks["entry"].instrs
+               if isinstance(i, ir.BinOp)][0]
+        assert ret.lhs == ir.Const(-2**31)
+        assert ret.rhs == ir.Const(2**31 - 1)
+
+    def test_non_ascii_digit_is_a_lex_error(self):
+        from repro.lang import LexError
+
+        with pytest.raises(LexError) as info:
+            compile_source("int main() { return ²; }")
+        assert (info.value.line, info.value.col) == (1, 21)

@@ -125,3 +125,36 @@ class TestColumns:
         assert info.value.line == 1
         assert info.value.col == 7
         assert "line 1:7" in str(info.value)
+
+
+class TestCharLiteralText:
+    def test_char_token_text_is_the_literal_as_written(self):
+        tok = tokenize("x = 'm';")[2]
+        assert (tok.kind, tok.text, tok.value, tok.col) == ("char", "'m'", ord("m"), 5)
+
+    def test_escaped_char_token_text(self):
+        tok = tokenize(r"'\n' x")[0]
+        assert (tok.text, tok.value) == (r"'\n'", ord("\n"))
+        assert tokenize(r"'\n' x")[1].col == 6
+
+
+class TestNonAsciiDigits:
+    @pytest.mark.parametrize("digit", ["²", "٣", "½"])
+    def test_non_ascii_digit_is_a_lex_error(self, digit):
+        with pytest.raises(LexError) as info:
+            tokenize(f"int x;\nreturn {digit};")
+        assert (info.value.line, info.value.col) == (2, 8)
+        assert str(info.value) == f"line 2:8: non-ASCII digit {digit!r}"
+
+    def test_non_ascii_digit_after_ascii_digits(self):
+        with pytest.raises(LexError) as info:
+            tokenize("x = 12٣;")
+        assert (info.value.line, info.value.col) == (1, 7)
+
+    def test_integer_literals_are_ascii(self):
+        tok = tokenize("0042")[0]
+        assert (tok.kind, tok.text, tok.value) == ("int", "0042", 42)
+
+    def test_unicode_identifiers_still_lex(self):
+        assert [(t.kind, t.text) for t in tokenize("é x² _1")[:-1]] == [
+            ("ident", "é"), ("ident", "x²"), ("ident", "_1")]

@@ -225,6 +225,11 @@ class TestErrors:
             parse("int main() {\nint x = ;\n}")
         assert err.value.line == 2
 
+    def test_error_quotes_char_literal_as_written(self):
+        with pytest.raises(ParseError) as err:
+            parse("int main() { int x = 'a' 'b'; }")
+        assert str(err.value) == "line 1:26: expected ';', got \"'b'\""
+
 
 class TestColumns:
     def test_parse_error_carries_column(self):
