@@ -36,51 +36,60 @@ class _Bail(Exception):
 def reconstruct_condition(
     module: ir.Module, func_name: str, reg: str
 ) -> Optional[ReconstructedCondition]:
-    func = module.functions[func_name]
-    defs: dict[str, list[ir.Instr]] = {}
-    for _, instr in func.iter_instructions():
-        name = instr.defined
-        if name is not None:
-            defs.setdefault(name, []).append(instr)
-    addr_regs = local_address_regs(func)
-    variables: dict[VarId, Var] = {}
+    builder = _Builder(module.functions[func_name], func_name)
+    try:
+        expr = builder.build_reg(reg)
+    except _Bail:
+        return None
+    return ReconstructedCondition(expr, builder.variables)
 
-    def var_for(var_id: VarId) -> Var:
-        existing = variables.get(var_id)
+
+class _Builder:
+    """The def-use walk.  A class rather than nested recursive closures:
+    those form function/cell reference cycles only the cyclic GC frees."""
+
+    def __init__(self, func: ir.Function, func_name: str) -> None:
+        self.func_name = func_name
+        self.defs: dict[str, list[ir.Instr]] = {}
+        for _, instr in func.iter_instructions():
+            name = instr.defined
+            if name is not None:
+                self.defs.setdefault(name, []).append(instr)
+        self.addr_regs = local_address_regs(func)
+        self.variables: dict[VarId, Var] = {}
+
+    def var_for(self, var_id: VarId) -> Var:
+        existing = self.variables.get(var_id)
         if existing is None:
             label = ".".join(var_id)
             existing = make_var(f"$rc.{label}", INT32_MIN, INT32_MAX)
-            variables[var_id] = existing
+            self.variables[var_id] = existing
         return existing
 
-    def build_value(value: ir.Value) -> Atom:
+    def build_value(self, value: ir.Value) -> Atom:
         if isinstance(value, ir.Const):
             return value.value
         if isinstance(value, ir.Reg):
-            return build_reg(value.name)
+            return self.build_reg(value.name)
         raise _Bail
 
-    def build_reg(name: str) -> Atom:
-        instrs = defs.get(name)
+    def build_reg(self, name: str) -> Atom:
+        instrs = self.defs.get(name)
         if instrs is None or len(instrs) != 1:
             raise _Bail  # undefined or multiply-defined (e.g. short-circuit temps)
         instr = instrs[0]
         if isinstance(instr, ir.Assign):
-            return build_value(instr.src)
+            return self.build_value(instr.src)
         if isinstance(instr, ir.BinOp):
-            return binop(instr.op, build_value(instr.lhs), build_value(instr.rhs))
+            return binop(instr.op, self.build_value(instr.lhs),
+                         self.build_value(instr.rhs))
         if isinstance(instr, ir.UnOp):
-            return unop(instr.op, build_value(instr.value))
+            return unop(instr.op, self.build_value(instr.value))
         if isinstance(instr, ir.Load):
             addr = instr.addr
             if isinstance(addr, ir.GlobalRef):
-                return var_for(("global", addr.name))
-            if isinstance(addr, ir.Reg) and addr.name in addr_regs:
-                return var_for(("local", func_name, addr_regs[addr.name]))
+                return self.var_for(("global", addr.name))
+            if isinstance(addr, ir.Reg) and addr.name in self.addr_regs:
+                return self.var_for(("local", self.func_name,
+                                     self.addr_regs[addr.name]))
         raise _Bail
-
-    try:
-        expr = build_reg(reg)
-    except _Bail:
-        return None
-    return ReconstructedCondition(expr, variables)

@@ -41,6 +41,7 @@ from ..analysis import (
 )
 from ..concurrency import ChainedPolicy
 from ..coredump import BugReport
+from ..gcpause import gc_paused
 from ..obs.observer import UNOBSERVED, SearchObserver
 from ..search import GoalSpec, SearchBudget, StopPredicate, explore_frontier
 from ..solver import Solver
@@ -354,6 +355,7 @@ class SearchSetup:
     static_seconds: float
 
 
+@gc_paused()
 def build_search_setup(
     module: ir.Module,
     report: BugReport,
@@ -496,6 +498,7 @@ def esd_synthesize(
         return result
 
 
+@gc_paused()
 def search_from_setup(
     module: ir.Module,
     setup: SearchSetup,

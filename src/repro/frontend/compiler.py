@@ -50,6 +50,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .. import ir
+from ..gcpause import gc_paused
 from ..ir.builder import IRBuilder
 from ..ir.values import INT_MAX, INT_MIN
 from .errors import PythonCompileError, UnsupportedPythonError
@@ -91,6 +92,7 @@ class _PendingThread:
     arg_slot: ir.Reg  # alloca holding the (already evaluated) argument
 
 
+@gc_paused()
 def compile_python_source(source: str, name: str = "module") -> ir.Module:
     """Compile Python ``source`` into a verified IR module.
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .. import ir
+from ..gcpause import gc_paused
 from ..ir.builder import IRBuilder
 from ..ir.values import INT_MAX, INT_MIN
 from . import ast
@@ -71,6 +72,7 @@ class _Symbol:
     size: int = 1
 
 
+@gc_paused()
 def compile_source(source: str, name: str = "module", prelude: bool = True) -> ir.Module:
     """Parse and compile MiniC ``source`` into a verified IR module.
 

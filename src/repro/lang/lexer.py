@@ -106,7 +106,7 @@ def tokenize(source: str) -> list[Token]:
                     line_start = newline + 1
                 pos = end + 2
         elif kind == "char":
-            value, pos = _char_literal(source, start, line)
+            value, pos = _char_literal(source, start, line, col)
             append(Token("char", source[start:pos], line, value, col))
         elif kind == "string":
             text, pos = _string_literal(source, start, line)
@@ -120,11 +120,13 @@ def tokenize(source: str) -> list[Token]:
             return tokens
 
 
-def _char_literal(source: str, pos: int, line: int) -> tuple[int, int]:
+def _char_literal(source: str, pos: int, line: int, col: int) -> tuple[int, int]:
     pos += 1  # opening quote
     if pos >= len(source):
         raise LexError("unterminated char literal", line)
     ch = source[pos]
+    if ch == "\n":
+        raise LexError("newline in char literal", line, col + 1)
     if ch == "\\":
         pos += 1
         if pos >= len(source) or source[pos] not in _ESCAPES:

@@ -133,6 +133,16 @@ _DEPENDENCIES: dict[str, list[str]] = {
 _CALLED = re.compile(r"\b(" + "|".join(PRELUDE_FUNCTIONS) + r")\s*\(")
 
 
+def _want(name: str, wanted: list[str], defined: set[str]) -> None:
+    """Append ``name`` and then its dependencies, depth first.  A module
+    function, not a recursive closure: that would be a reference cycle."""
+    if name in wanted or name in defined:
+        return
+    wanted.append(name)
+    for dep in _DEPENDENCIES.get(name, []):
+        _want(dep, wanted, defined)
+
+
 def needed_prelude(user_source: str) -> str:
     """Prelude text for every prelude function the user program references
     (by word-boundary match) and does not define itself."""
@@ -140,18 +150,10 @@ def needed_prelude(user_source: str) -> str:
         re.findall(r"\b(?:int|void|char)\s*\**\s*(\w+)\s*\(", user_source)
     )
     wanted: list[str] = []
-
-    def want(name: str) -> None:
-        if name in wanted or name in defined:
-            return
-        wanted.append(name)
-        for dep in _DEPENDENCIES.get(name, []):
-            want(dep)
-
     called = set(_CALLED.findall(user_source))
     for name in PRELUDE_FUNCTIONS:
         if name in called:
-            want(name)
+            _want(name, wanted, defined)
 
     if not wanted:
         return ""

@@ -32,6 +32,7 @@ import dataclasses
 import threading
 from typing import Any, Callable, Iterable, Optional, Union
 
+from ..gcpause import collector_stats
 from ..schema import SchemaVersionError, check_schema_version
 
 __all__ = [
@@ -42,6 +43,7 @@ __all__ = [
     "METRICS_FORMAT",
     "METRICS_SCHEMA_VERSION",
     "DEFAULT_TIME_BUCKETS",
+    "bind_collector_stats",
     "check_metrics_document",
     "counters_delta",
     "unified_registry",
@@ -166,15 +168,18 @@ def _stat_fields(obj: Any) -> Iterable[tuple[str, Union[int, float]]]:
 class _BoundStats:
     """A supplier of stats objects sampled at snapshot/scrape time."""
 
-    __slots__ = ("prefix", "help", "supplier")
+    __slots__ = ("prefix", "help", "supplier", "label")
 
     def __init__(self, prefix: str, supplier: Callable[[], Any],
-                 help_: str = "") -> None:
+                 help_: str = "", label: Optional[str] = None) -> None:
         self.prefix = prefix
         self.help = help_
         self.supplier = supplier
+        self.label = label
 
     def sample(self) -> dict[str, Union[int, float]]:
+        """Series name -> value, e.g. ``esd_exec_forks_total`` or, with a
+        ``label``, ``esd_gc_collected_total{generation="0"}``."""
         produced = self.supplier()
         if produced is None:
             return {}
@@ -182,11 +187,13 @@ class _BoundStats:
                 or hasattr(produced, "to_dict")):
             produced = [produced]
         totals: dict[str, Union[int, float]] = {}
-        for obj in produced:
+        for index, obj in enumerate(produced):
             if obj is None:
                 continue
+            labels = f'{{{self.label}="{index}"}}' if self.label else ""
             for name, value in _stat_fields(obj):
-                totals[name] = totals.get(name, 0) + value
+                series = f"{self.prefix}_{name}_total{labels}"
+                totals[series] = totals.get(series, 0) + value
         return totals
 
 
@@ -239,16 +246,18 @@ class MetricsRegistry:
             return metric
 
     def bind_stats(self, prefix: str, supplier: Callable[[], Any],
-                   help_: str = "") -> None:
+                   help_: str = "", label: Optional[str] = None) -> None:
         """Absorb a stats dataclass (or iterable of them) as counters.
 
         At snapshot time the supplier is called and each numeric field
         ``f`` becomes the counter ``{prefix}_{f}_total``, summed across
-        the supplied instances.  The underlying dataclasses keep their
-        cumulative semantics -- nothing is reset, ever.
+        the supplied instances.  With ``label``, instances are not summed:
+        the i-th becomes the series ``{prefix}_{f}_total{label="i"}``.
+        The underlying dataclasses keep their cumulative semantics --
+        nothing is reset, ever.
         """
         with self._lock:
-            self._bound.append(_BoundStats(prefix, supplier, help_))
+            self._bound.append(_BoundStats(prefix, supplier, help_, label))
 
     # ------------------------------------------------------------------
     # Reading
@@ -258,8 +267,7 @@ class MetricsRegistry:
         with self._lock:
             bound = list(self._bound)
         for b in bound:
-            for field_name, value in b.sample().items():
-                name = f"{b.prefix}_{field_name}_total"
+            for name, value in b.sample().items():
                 prev = out.get(name)
                 out[name] = ((prev[0] if prev else 0) + value, b.help)
         return out
@@ -305,10 +313,14 @@ class MetricsRegistry:
                 lines.append(f"# HELP {c.name} {c.help}")
             lines.append(f"# TYPE {c.name} counter")
             lines.append(f"{c.name} {c.value}")
+        family = None
         for name, (value, help_) in sorted(self._sampled_counters().items()):
-            if help_:
-                lines.append(f"# HELP {name} {help_}")
-            lines.append(f"# TYPE {name} counter")
+            base = name.partition("{")[0]
+            if base != family:  # one header per family of labeled series
+                family = base
+                if help_:
+                    lines.append(f"# HELP {family} {help_}")
+                lines.append(f"# TYPE {family} counter")
             lines.append(f"{name} {_fmt(value)}")
         for g in gauges:
             if g.help:
@@ -414,6 +426,14 @@ def unified_registry(*, solver: Any = None, solver_cache: Any = None,
         reg.bind_stats("esd_wp", lambda: prune_stats,
                        help_="necessary-precondition pruning counters")
     return reg
+
+
+def bind_collector_stats(registry: MetricsRegistry) -> None:
+    """Publish the interpreter's cyclic-GC counters, per generation, as
+    ``esd_gc_collections_total`` / ``esd_gc_collected_total`` /
+    ``esd_gc_uncollectable_total`` (read only at snapshot or scrape time)."""
+    registry.bind_stats("esd_gc", collector_stats, label="generation",
+                        help_="cyclic garbage collector counters")
 
 
 def counters_delta(new: dict[str, Any], old: dict[str, Any]) -> dict[str, Union[int, float]]:

@@ -76,6 +76,7 @@ from ..obs import (
     MetricsRegistry,
     SearchObserver,
     Tracer,
+    bind_collector_stats,
 )
 from ..schema import canonical_json_bytes, content_digest
 from ..search import StopPredicate
@@ -366,6 +367,7 @@ class ReproService:
         registry.bind_stats(
             "esd_obs", obs_dropped,
             help_="observability buffer pressure across finished jobs")
+        bind_collector_stats(registry)
 
         def queue_depth() -> float:
             with self._lock:

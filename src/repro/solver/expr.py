@@ -113,8 +113,11 @@ class Var(Expr):
         self.lo = lo
         self.hi = hi
         self.uid = next(_uid_counter)
-        self._vars = frozenset((self,))
+        self._vars = None  # no stored {self}: that would be a reference cycle
         self._skey: Optional[int] = None
+
+    def variables(self) -> frozenset["Var"]:
+        return frozenset((self,))
 
     def __repr__(self) -> str:
         return self.name

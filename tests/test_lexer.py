@@ -137,6 +137,12 @@ class TestCharLiteralText:
         assert (tok.text, tok.value) == (r"'\n'", ord("\n"))
         assert tokenize(r"'\n' x")[1].col == 6
 
+    def test_newline_in_char_literal_is_a_lex_error(self):
+        with pytest.raises(LexError) as info:
+            tokenize("x = 1;\ny = '\n' z")
+        assert (info.value.line, info.value.col) == (2, 6)
+        assert str(info.value) == "line 2:6: newline in char literal"
+
 
 class TestNonAsciiDigits:
     @pytest.mark.parametrize("digit", ["²", "٣", "½"])

@@ -3,6 +3,7 @@ the two invariants everything else depends on -- the disabled path is
 free on the hot loop, and tracing never changes synthesized artifacts."""
 
 import dataclasses
+import gc
 import json
 import os
 import time
@@ -21,6 +22,7 @@ from repro.obs import (
     MetricsRegistry,
     SearchObserver,
     Tracer,
+    bind_collector_stats,
     check_metrics_document,
     check_trace_document,
     chrome_trace,
@@ -289,6 +291,29 @@ class TestMetricsRegistry:
         a.queries += 10  # sampled, not copied: next snapshot sees the bump
         assert reg.snapshot()["metrics"]["esd_fake_queries_total"]["value"] == 17
 
+    def test_labeled_bind_stats_keeps_instances_apart(self):
+        reg = MetricsRegistry()
+        reg.bind_stats("esd_fake", lambda: [{"runs": 3}, {"runs": 4}],
+                       help_="fake runs", label="generation")
+        metrics = reg.snapshot()["metrics"]
+        assert metrics['esd_fake_runs_total{generation="0"}']["value"] == 3
+        assert metrics['esd_fake_runs_total{generation="1"}']["value"] == 4
+        text = reg.to_prometheus()
+        assert text.count("# TYPE esd_fake_runs_total counter") == 1
+        assert 'esd_fake_runs_total{generation="1"} 4' in text
+
+    def test_collector_counters_are_sampled_per_generation(self):
+        reg = MetricsRegistry()
+        bind_collector_stats(reg)
+        before = reg.snapshot()
+        gc.collect()
+        delta = counters_delta(reg.snapshot(), before)
+        assert delta['esd_gc_collections_total{generation="2"}'] >= 1
+        assert 'esd_gc_collected_total{generation="0"}' in delta
+        text = reg.to_prometheus()
+        assert "# TYPE esd_gc_collections_total counter" in text
+        assert "# TYPE esd_gc_collected_total counter" in text
+
     def test_counters_delta_is_the_interval_api(self):
         solver = Solver()
         reg = unified_registry(solver=solver)
@@ -460,7 +485,9 @@ class TestServiceObservability:
         for family in ("esd_service_jobs_submitted_total",
                        "esd_service_queue_depth",
                        "esd_solver_queries_total",
-                       "esd_job_seconds_bucket"):
+                       "esd_job_seconds_bucket",
+                       'esd_gc_collections_total{generation="2"}',
+                       'esd_gc_collected_total{generation="0"}'):
             assert family in text
 
         health = client.health()
