@@ -355,7 +355,6 @@ class SearchSetup:
     static_seconds: float
 
 
-@gc_paused()
 def build_search_setup(
     module: ir.Module,
     report: BugReport,

@@ -62,6 +62,7 @@ from ..core.synthesis import (
     SynthesisResult,
     build_search_setup,
 )
+from ..gcpause import gc_paused
 from ..obs.observer import UNOBSERVED, SearchObserver
 from ..obs.trace import Tracer
 from ..search import SearchBudget, StopPredicate, explore_frontier
@@ -449,6 +450,7 @@ class ParallelExplorer:
 
     # -- seed phase ----------------------------------------------------------
 
+    @gc_paused()
     def _seed(self, setup: SearchSetup, budget: SearchBudget, totals: _Totals):
         """Grow the frontier serially until it is worth sharding.
 
@@ -849,11 +851,12 @@ def _worker_loop(conn, shard_id: int, module, report, config, statics,
                 max_seconds=arg["max_seconds"],
                 batch_instructions=config.budget.batch_instructions,
             )
-            outcome = explore_frontier(
-                executor, searcher, seeds, setup.goal.matches,
-                quantum_budget, observer=observer,
-                should_stop=cancel.is_set, count_frontier=False,
-            )
+            with gc_paused():
+                outcome = explore_frontier(
+                    executor, searcher, seeds, setup.goal.matches,
+                    quantum_budget, observer=observer,
+                    should_stop=cancel.is_set, count_frontier=False,
+                )
             seeds = []
             goal_payload = None
             if outcome.goal_state is not None:

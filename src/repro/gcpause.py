@@ -1,9 +1,9 @@
 """Pause the cyclic garbage collector over allocation-heavy phases.
 
-Compiling, the static phase, the search and playback each build a heap
-that lives until the phase ends, and almost none of it is cyclic garbage.
-With the collector on, every generation-2 collection during the phase
-scans all of it and frees next to nothing.  :func:`gc_paused` turns the
+Compiling and the search each build a heap that lives until the phase
+ends (the IR; the states and their constraints), and almost none of it is
+cyclic garbage.  With the collector on, every generation-2 collection
+during the phase scans all of it and frees next to nothing.  :func:`gc_paused` turns the
 collector off for the phase; reference counting still frees everything
 that is not part of a cycle.
 
@@ -32,8 +32,8 @@ _owned = False  # whether the first open pause disabled the collector
 
 def _reset_in_child() -> None:
     # Only the forking thread lives on in the child, and nothing forks from
-    # inside a paused phase (the pool forks from ParallelExplorer.run), so
-    # no pause is open in the child: drop the parent's other threads' ones.
+    # inside a paused phase (the pool forks after its paused seed search),
+    # so no pause is open in the child: drop the parent's other threads' ones.
     global _lock, _depth, _owned
     _lock = threading.Lock()
     if _depth and _owned:

@@ -40,7 +40,6 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    bind_collector_stats,
     check_metrics_document,
     counters_delta,
     unified_registry,
@@ -74,7 +73,6 @@ __all__ = [
     "TRACE_SCHEMA_VERSION",
     "Tracer",
     "append_entry",
-    "bind_collector_stats",
     "check_flight_document",
     "check_metrics_document",
     "check_trace_document",

@@ -32,7 +32,6 @@ import dataclasses
 import threading
 from typing import Any, Callable, Iterable, Optional, Union
 
-from ..gcpause import collector_stats
 from ..schema import SchemaVersionError, check_schema_version
 
 __all__ = [
@@ -43,7 +42,6 @@ __all__ = [
     "METRICS_FORMAT",
     "METRICS_SCHEMA_VERSION",
     "DEFAULT_TIME_BUCKETS",
-    "bind_collector_stats",
     "check_metrics_document",
     "counters_delta",
     "unified_registry",
@@ -426,14 +424,6 @@ def unified_registry(*, solver: Any = None, solver_cache: Any = None,
         reg.bind_stats("esd_wp", lambda: prune_stats,
                        help_="necessary-precondition pruning counters")
     return reg
-
-
-def bind_collector_stats(registry: MetricsRegistry) -> None:
-    """Publish the interpreter's cyclic-GC counters, per generation, as
-    ``esd_gc_collections_total`` / ``esd_gc_collected_total`` /
-    ``esd_gc_uncollectable_total`` (read only at snapshot or scrape time)."""
-    registry.bind_stats("esd_gc", collector_stats, label="generation",
-                        help_="cyclic garbage collector counters")
 
 
 def counters_delta(new: dict[str, Any], old: dict[str, Any]) -> dict[str, Union[int, float]]:

@@ -25,7 +25,6 @@ from typing import Optional
 
 from .. import ir
 from ..core.execfile import ExecutionFile
-from ..gcpause import gc_paused
 from ..symbex import BugInfo, ConcreteEnv, ExecConfig, Executor
 from ..symbex.state import RUNNABLE, ExecutionState, ThreadState
 
@@ -48,7 +47,6 @@ class PlaybackResult:
         return self.state.exit_code
 
 
-@gc_paused()
 def play_back(
     module: ir.Module,
     execution: ExecutionFile,

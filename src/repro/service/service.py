@@ -69,6 +69,7 @@ from ..core.synthesis import (
     esd_synthesize,
     search_from_setup,
 )
+from ..gcpause import collector_stats
 from ..lang import compile_source
 from ..obs import (
     DEFAULT_TIME_BUCKETS,
@@ -76,7 +77,6 @@ from ..obs import (
     MetricsRegistry,
     SearchObserver,
     Tracer,
-    bind_collector_stats,
 )
 from ..schema import canonical_json_bytes, content_digest
 from ..search import StopPredicate
@@ -367,7 +367,9 @@ class ReproService:
         registry.bind_stats(
             "esd_obs", obs_dropped,
             help_="observability buffer pressure across finished jobs")
-        bind_collector_stats(registry)
+        registry.bind_stats(
+            "esd_gc", collector_stats, label="generation",
+            help_="cyclic garbage collector counters per generation")
 
         def queue_depth() -> float:
             with self._lock:

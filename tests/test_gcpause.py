@@ -1,4 +1,4 @@
-"""The cyclic-GC pause around compile, static phase, search and playback."""
+"""The cyclic-GC pause around compile and search."""
 
 from __future__ import annotations
 
@@ -122,7 +122,7 @@ def test_a_forked_child_starts_with_no_pause_open(collector_on):
 def test_a_pipeline_run_leaves_no_var_or_cell_cycles(collector_on):
     """A compile, synthesis and strict playback make no ``Var`` self-cycles
     and no recursive-closure ``cell`` cycles: with the collector paused for
-    the whole run, those would all wait for a later collection.  The
+    the compile and the search, those would all wait for a later collection.  The
     sessions stay alive, so only what the runs dropped is counted."""
     bpf = generate(BPFParams(num_inputs=8, num_branches=16,
                              num_input_branches=16, seed=7)).workload

@@ -17,12 +17,12 @@ from repro.api.jobs import FOUND, JobSpec
 from repro.cli import repro_main
 from repro.core import ESDConfig
 from repro.distrib import ParallelExplorer, parallel_supported
+from repro.gcpause import collector_stats
 from repro.obs import (
     DEFAULT_TIME_BUCKETS,
     MetricsRegistry,
     SearchObserver,
     Tracer,
-    bind_collector_stats,
     check_metrics_document,
     check_trace_document,
     chrome_trace,
@@ -304,7 +304,8 @@ class TestMetricsRegistry:
 
     def test_collector_counters_are_sampled_per_generation(self):
         reg = MetricsRegistry()
-        bind_collector_stats(reg)
+        reg.bind_stats("esd_gc", collector_stats, label="generation",
+                       help_="cyclic garbage collector counters")
         before = reg.snapshot()
         gc.collect()
         delta = counters_delta(reg.snapshot(), before)
