@@ -75,17 +75,23 @@ def address_taken_functions(module: ir.Module) -> dict[int, tuple[str, ...]]:
     """Functions whose address escapes, grouped by arity."""
     taken: set[str] = set()
     for func in module.functions.values():
-        for _, instr in func.iter_instructions():
-            operands = instr.operands()
-            if isinstance(instr, ir.Call):
-                # A FuncRef used as the callee is a direct call, not an escape;
-                # a FuncRef passed as an argument escapes.
-                operands = tuple(instr.args)
-            if isinstance(instr, ir.ThreadCreate):
-                operands = (instr.arg,)  # the start routine is "called", arg may escape
-            for op in operands:
-                if isinstance(op, ir.FuncRef):
-                    taken.add(op.name)
+        for block in func.blocks.values():
+            instrs = block.instrs
+            if block.terminator is not None:
+                instrs = [*instrs, block.terminator]
+            for instr in instrs:
+                if isinstance(instr, ir.Call):
+                    # A FuncRef used as the callee is a direct call, not an
+                    # escape; a FuncRef passed as an argument escapes.
+                    operands = instr.args
+                elif isinstance(instr, ir.ThreadCreate):
+                    # The start routine is "called"; its argument may escape.
+                    operands = (instr.arg,)
+                else:
+                    operands = instr.operands()
+                for op in operands:
+                    if isinstance(op, ir.FuncRef):
+                        taken.add(op.name)
     by_arity: dict[int, list[str]] = {}
     for name in sorted(taken):
         arity = len(module.functions[name].params)
@@ -100,30 +106,25 @@ def build_call_graph(module: ir.Module) -> CallGraph:
         graph.callers[name] = set()
     graph.address_taken = address_taken_functions(module)
 
+    # Call and thread-create sites are never terminators.
     for func in module.functions.values():
-        for ref, instr in func.iter_instructions():
-            targets: tuple[str, ...] = ()
-            direct = True
-            if isinstance(instr, ir.Call):
-                if isinstance(instr.callee, ir.FuncRef):
-                    targets = (instr.callee.name,)
+        for label, block in func.blocks.items():
+            for index, instr in enumerate(block.instrs):
+                if isinstance(instr, ir.Call):
+                    callee, arity = instr.callee, len(instr.args)
+                elif isinstance(instr, ir.ThreadCreate):
+                    callee, arity = instr.func, 1
                 else:
-                    direct = False
-                    targets = graph.address_taken.get(len(instr.args), ())
-            elif isinstance(instr, ir.ThreadCreate):
-                if isinstance(instr.func, ir.FuncRef):
-                    targets = (instr.func.name,)
-                else:
-                    direct = False
-                    targets = graph.address_taken.get(1, ())
-            else:
-                continue
-            site = CallSite(ref, targets, direct)
-            graph.sites_by_block.setdefault((func.name, ref.block), []).append(site)
-            for target in targets:
-                if target in module.functions:
-                    graph.callees[func.name].add(target)
-                    graph.callers[target].add(func.name)
+                    continue
+                direct = isinstance(callee, ir.FuncRef)
+                targets = ((callee.name,) if direct
+                           else graph.address_taken.get(arity, ()))
+                site = CallSite(ir.InstrRef(func.name, label, index), targets, direct)
+                graph.sites_by_block.setdefault((func.name, label), []).append(site)
+                for target in targets:
+                    if target in module.functions:
+                        graph.callees[func.name].add(target)
+                        graph.callers[target].add(func.name)
     return graph
 
 

@@ -267,15 +267,16 @@ class DistanceCalculator(_StackWalk):
     def instruction_distance(self, ref: InstrRef, goal: InstrRef) -> float:
         """Distance from executing at ``ref`` to reaching ``goal``, allowing
         descent into callees but not returns (Algorithm 1's ``distance``)."""
-        return self._goal_table(goal).from_position(ref)
+        return self._goal_table(goal).from_position(self, ref)
 
 
 class _GoalTable:
     """Per-goal distances with call-descent, computed by a global Dijkstra
-    running backward from the goal over (function, block) nodes."""
+    running backward from the goal over (function, block) nodes.  The
+    calculator that caches the table is passed in, not kept: a table
+    holding it would make every calculator a reference cycle."""
 
     def __init__(self, calc: DistanceCalculator, goal: InstrRef) -> None:
-        self.calc = calc
         self.goal = goal
         # block_dist[(func, label)] = min cost from the *start* of the block
         # to the goal.
@@ -284,10 +285,9 @@ class _GoalTable:
         # built on the block's first query (see _row).
         self.rows: dict[tuple[str, str], list[float]] = {}
         self._unreachable: dict[int, list[float]] = {}
-        self._compute()
+        self._compute(calc)
 
-    def _compute(self) -> None:
-        calc = self.calc
+    def _compute(self, calc: DistanceCalculator) -> None:
         module = calc.module
         dist = self.block_dist
         goal = self.goal
@@ -326,14 +326,14 @@ class _GoalTable:
                         dist[ckey] = cost
                         worklist.append(ckey)
 
-    def from_position(self, ref: InstrRef) -> float:
+    def from_position(self, calc: DistanceCalculator, ref: InstrRef) -> float:
         key = (ref.function, ref.block)
         row = self.rows.get(key)
         if row is None:
-            row = self.rows[key] = self._row(key)
+            row = self.rows[key] = self._row(calc, key)
         return row[ref.index]
 
-    def _row(self, key: tuple[str, str]) -> list[float]:
+    def _row(self, calc: DistanceCalculator, key: tuple[str, str]) -> list[float]:
         """Distances from every position of one block.
 
         A path from position ``i`` leaves the block at some ``j >= i`` (a
@@ -346,7 +346,6 @@ class _GoalTable:
         floats (``_info`` stores ``int(cost)``), so no sum rounds and each
         distance is bit-for-bit the per-call-site minimum.
         """
-        calc = self.calc
         func, label = key
         functions = calc.module.functions
         block_dist = self.block_dist

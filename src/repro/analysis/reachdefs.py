@@ -126,12 +126,15 @@ class ReachingDefs:
 
 
 def collect_global_definitions(module: ir.Module) -> dict[str, set[Definition]]:
-    """Global name -> every store to it anywhere in the module (one pass)."""
+    """Global name -> every store to it anywhere in the module (one pass;
+    a store is never a terminator)."""
     result: dict[str, set[Definition]] = {}
     for func in module.functions.values():
-        addr_regs = local_address_regs(func)
-        for ref, instr in func.iter_instructions():
-            var = store_target(instr, func, addr_regs)
-            if var is not None and var[0] == "global":
-                result.setdefault(var[1], set()).add(Definition(var, ref, instr.value))
+        for label, block in func.blocks.items():
+            for index, instr in enumerate(block.instrs):
+                if isinstance(instr, ir.Store) and isinstance(instr.addr, ir.GlobalRef):
+                    name = instr.addr.name
+                    result.setdefault(name, set()).add(Definition(
+                        ("global", name), InstrRef(func.name, label, index),
+                        instr.value))
     return result

@@ -41,6 +41,7 @@ import heapq
 import threading
 import time
 import traceback
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -328,15 +329,19 @@ class ReproService:
         copied: the registry samples the live dataclasses at snapshot time
         and sums across programs, so readings are always cumulative.
         Interval measurements subtract two snapshots (``counters_delta``) --
-        nothing here is ever reset.
+        nothing here is ever reset.  The readers reach the service through
+        a weak proxy: the registry lives in the service, so closures over
+        ``self`` would make every service a reference cycle, freed only by
+        a full collection.
         """
+        service = weakref.proxy(self)
         registry = MetricsRegistry()
-        registry.bind_stats("esd_service_jobs", lambda: self.stats,
+        registry.bind_stats("esd_service_jobs", lambda: service.stats,
                             help_="service job lifecycle counters")
 
         def programs() -> list[ServiceProgram]:
-            with self._lock:
-                return list(self._programs.values())
+            with service._lock:
+                return list(service._programs.values())
 
         registry.bind_stats(
             "esd_solver", lambda: [p.solver.stats for p in programs()],
@@ -356,12 +361,12 @@ class ReproService:
             help_="weakest-precondition pruning counters across programs")
 
         def obs_dropped() -> dict[str, int]:
-            with self._lock:
+            with service._lock:
                 return {
                     "trace_dropped_spans":
-                        self._obs_totals["trace_dropped_spans"],
+                        service._obs_totals["trace_dropped_spans"],
                     "flight_dropped_records":
-                        self._obs_totals["flight_dropped_records"],
+                        service._obs_totals["flight_dropped_records"],
                 }
 
         registry.bind_stats(
@@ -372,18 +377,18 @@ class ReproService:
             help_="cyclic garbage collector counters per generation")
 
         def queue_depth() -> float:
-            with self._lock:
-                return float(sum(1 for r in self._records.values()
+            with service._lock:
+                return float(sum(1 for r in service._records.values()
                                  if r.state == QUEUED))
 
         def in_flight() -> float:
-            with self._lock:
-                return float(sum(1 for r in self._records.values()
+            with service._lock:
+                return float(sum(1 for r in service._records.values()
                                  if r.state in RUNNING_STATES))
 
         def workers_alive() -> float:
-            with self._lock:
-                return float(sum(1 for t in self._threads if t.is_alive()))
+            with service._lock:
+                return float(sum(1 for t in service._threads if t.is_alive()))
 
         def cache_hit_rate() -> float:
             lookups = hits = 0
@@ -401,18 +406,18 @@ class ReproService:
                        "live scheduler threads", fn=workers_alive)
         registry.gauge("esd_service_workers_busy",
                        "scheduler threads executing a job",
-                       fn=lambda: float(self._busy))
+                       fn=lambda: float(service._busy))
         registry.gauge("esd_service_programs",
                        "registered program contexts",
-                       fn=lambda: float(len(self.programs())))
+                       fn=lambda: float(len(service.programs())))
         registry.gauge("esd_solver_cache_hit_rate",
                        "counterexample cache hit rate across programs",
                        fn=cache_hit_rate)
 
         def obs_high_water(key: str) -> Callable[[], float]:
             def read() -> float:
-                with self._lock:
-                    return float(self._obs_totals[key])
+                with service._lock:
+                    return float(service._obs_totals[key])
             return read
 
         registry.gauge("esd_obs_trace_span_high_water",

@@ -14,6 +14,7 @@ scheduling policy.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
@@ -181,9 +182,8 @@ class Executor:
         # searcher's intermediate-goal tracking; set by the engine).
         self.on_block_entry: Optional[
             Callable[[ExecutionState, str, str], None]] = None
-        # Decoded functions (name -> label -> entries), filled on first
-        # entry into each function.
-        self._code: dict[str, dict[str, tuple]] = {}
+        # The module's decoded code, shared with every other executor of it.
+        self._decoded = _module_code(module)
 
     # ------------------------------------------------------------------
     # State construction
@@ -220,7 +220,7 @@ class Executor:
         termination); returns the last step's successors.
 
         Each instruction comes from the running frame's decoded block
-        (``frame.code``, see :func:`_decode_function`): one index, then a
+        (``frame.code``, see :meth:`_ModuleCode.decode`): one index, then a
         call to the entry's handler with the state, the running thread and
         its top frame, all of which the state holds alone.  While the same
         thread runs on, the thread lookup is not repeated.
@@ -339,10 +339,11 @@ class Executor:
     # ------------------------------------------------------------------
 
     def _function_code(self, name: str) -> dict[str, tuple]:
-        """``name``'s decoded blocks, decoding the function on first entry."""
-        code = self._code.get(name)
+        """``name``'s decoded blocks, decoding the function on the module's
+        first entry into it."""
+        code = self._decoded.functions.get(name)
         if code is None:
-            code = self._code[name] = _decode_function(self.module.functions[name])
+            code = self._decoded.decode(self.module.functions[name])
         return code
 
     def _block_code(self, frame: Frame) -> tuple:
@@ -438,12 +439,16 @@ class Executor:
 
     # -- constraint plumbing ------------------------------------------------------
 
-    def _feasible(self, state: ExecutionState, extra: Atom) -> bool:
+    def _feasible(
+        self, state: ExecutionState, extra: Atom,
+        related: Optional[list[Expr]] = None,
+    ) -> bool:
         """May ``extra`` hold on this path?
 
         The existing path condition is satisfiable by construction (every
         constraint was feasible when added), so only the constraints sharing
-        variables with ``extra`` need to be re-solved.
+        variables with ``extra`` need to be re-solved.  A caller probing a
+        condition and its negation passes their one ``related`` list.
 
         Model-reuse fast path: if the state's last satisfying assignment
         also satisfies ``extra`` (and the related constraints -- a forked
@@ -454,7 +459,8 @@ class Executor:
         """
         if isinstance(extra, int):
             return extra != 0
-        related = state.related_constraints(extra)
+        if related is None:
+            related = state.related_constraints(extra)
         model = state.last_model if self.config.model_reuse else None
         if model is not None:
             # Evaluate the new condition first: the common stale case is a
@@ -682,8 +688,9 @@ class Executor:
     # Instruction handlers
     #
     # Each takes the state, its running thread and that thread's top frame
-    # (all held alone by the state) and the decoded entry, whose layout
-    # :func:`_decode_function` documents.  ``entry[1]`` is the ``ir.Instr``.
+    # (all held alone by the state) and the decoded entry, whose layout the
+    # decoding notes at the end of this module give.  ``entry[1]`` is the
+    # ``ir.Instr``.
     # ------------------------------------------------------------------
 
     def _exec_assign(self, state, thread, frame, entry) -> list[ExecutionState]:
@@ -1114,12 +1121,13 @@ class Executor:
         # ``cond`` never satisfies ``!cond``), and each surviving branch
         # must keep the model matching the constraint it adds.
         then_target, else_target = entry[3], entry[4]
+        related = state.related_constraints(cond)
         orig_model = state.last_model
-        true_feasible = self._feasible(state, cond)
+        true_feasible = self._feasible(state, cond, related)
         true_model = state.last_model
         state.last_model = orig_model
         false_cond = negate(cond)
-        false_feasible = self._feasible(state, false_cond)
+        false_feasible = self._feasible(state, false_cond, related)
         if true_feasible and false_feasible:
             other = state.fork()  # inherits the false-direction model
             self.stats.forks += 1
@@ -1159,8 +1167,9 @@ class Executor:
             return [state]
         successors: list[ExecutionState] = []
         failing = negate(cond)
+        related = state.related_constraints(cond)
         orig_model = state.last_model
-        if self._feasible(state, failing):
+        if self._feasible(state, failing, related):
             bug = state.fork()  # inherits the failing-side model
             self.stats.states_created += 1
             bug.add_constraint(failing)
@@ -1169,7 +1178,7 @@ class Executor:
             )
             successors.append(bug)
         state.last_model = orig_model  # un-poison the passing-side probe
-        if self._feasible(state, cond):
+        if self._feasible(state, cond, related):
             state.add_constraint(cond)
             frame.index += 1
             successors.append(state)
@@ -1499,9 +1508,15 @@ def _format_value(value: Value) -> str:
 #   CondSignal (cond, broadcast)  ThreadCreate (dst|None, func, arg)
 #   ThreadJoin (dst|None, tid)    Unreachable ()
 #
-# Branch targets stay labels, resolved through the executor's table when
+# Branch targets stay labels, resolved through the module's table when
 # taken: an entry referencing other blocks' tuples would make every loop a
 # reference cycle, which only the cyclic garbage collector frees.
+#
+# A module is decoded once, however many executors run it (search, playback,
+# repair validation, ...): its decoded form lives in a table keyed weakly by
+# the module, so it dies with the module, and a deep copy (a repair
+# candidate) is a new key that decodes afresh.  Code must not mutate a
+# module once it has been run; mutate a copy instead.
 # ---------------------------------------------------------------------------
 
 
@@ -1515,8 +1530,9 @@ class _Late:
 
 
 class _GlobalOperand(_Late):
-    # Remembers the pointer for the last globals map it was read against:
-    # every state of one run shares that map (see ExecutionState.fork).
+    # One per global name and module (see _ModuleCode.operand).  Remembers
+    # the pointer for the last globals map it was read against: every state
+    # of one run shares that map (see ExecutionState.fork).
     __slots__ = ("name", "_cached")
 
     def __init__(self, name: str) -> None:
@@ -1557,20 +1573,6 @@ def _val(state: ExecutionState, regs: dict, operand) -> Value:
     return operand
 
 
-def _operand(value: ir.Value):
-    if isinstance(value, ir.Reg):
-        return value.name
-    if isinstance(value, ir.Const):
-        return value.value
-    if isinstance(value, ir.GlobalRef):
-        return _GlobalOperand(value.name)
-    if isinstance(value, ir.FuncRef):
-        return FnPtr(value.name)
-    if isinstance(value, ir.Hole):
-        return _HoleOperand(value)
-    raise TypeError(f"unknown operand {value!r}")  # pragma: no cover
-
-
 def _dst(value: Optional[ir.Value]) -> Optional[str]:
     if value is None:
         return None
@@ -1578,8 +1580,7 @@ def _dst(value: Optional[ir.Value]) -> Optional[str]:
     return value.name
 
 
-def _decode(instr: ir.Instr) -> tuple:
-    op = _operand
+def _decode(instr: ir.Instr, op: Callable[[ir.Value], object]) -> tuple:
     if isinstance(instr, ir.Assign):
         return (Executor._exec_assign, instr, _dst(instr.dst), op(instr.src))
     if isinstance(instr, ir.BinOp):
@@ -1641,13 +1642,53 @@ def _unhandled(executor, state, thread, frame, entry) -> list[ExecutionState]:
     raise _ExecError(BugKind.ABORT, f"unhandled instruction {entry[1]!r}")
 
 
-def _decode_function(function: ir.Function) -> dict[str, tuple]:
-    """Decode every block of ``function`` into a tuple of entries, the
-    terminator last, so instruction ``i`` of a block is ``code[i]``."""
-    blocks: dict[str, tuple] = {}
-    for label, block in function.blocks.items():
-        instrs = list(block.instrs)
-        if block.terminator is not None:
-            instrs.append(block.terminator)
-        blocks[label] = tuple(_decode(instr) for instr in instrs)
-    return blocks
+class _ModuleCode:
+    """One module's decoded form, shared by every executor of the module:
+    ``functions`` maps name -> label -> entries, filled on the first entry
+    into each function, and ``globals`` interns one operand per global
+    name."""
+
+    __slots__ = ("functions", "globals")
+
+    def __init__(self) -> None:
+        self.functions: dict[str, dict[str, tuple]] = {}
+        self.globals: dict[str, _GlobalOperand] = {}
+
+    def decode(self, function: ir.Function) -> dict[str, tuple]:
+        """Decode every block of ``function`` into a tuple of entries, the
+        terminator last, so instruction ``i`` of a block is ``code[i]``.
+        Executors on other threads may decode the same function at once;
+        every one of them keeps the first table stored."""
+        blocks: dict[str, tuple] = {}
+        op = self.operand
+        for label, block in function.blocks.items():
+            instrs = list(block.instrs)
+            if block.terminator is not None:
+                instrs.append(block.terminator)
+            blocks[label] = tuple(_decode(instr, op) for instr in instrs)
+        return self.functions.setdefault(function.name, blocks)
+
+    def operand(self, value: ir.Value):
+        if isinstance(value, ir.Reg):
+            return value.name
+        if isinstance(value, ir.Const):
+            return value.value
+        if isinstance(value, ir.GlobalRef):
+            operand = self.globals.get(value.name)
+            if operand is None:
+                operand = self.globals.setdefault(
+                    value.name, _GlobalOperand(value.name))
+            return operand
+        if isinstance(value, ir.FuncRef):
+            return FnPtr(value.name)
+        if isinstance(value, ir.Hole):
+            return _HoleOperand(value)
+        raise TypeError(f"unknown operand {value!r}")  # pragma: no cover
+
+
+_DECODED: "weakref.WeakKeyDictionary[ir.Module, _ModuleCode]" = (
+    weakref.WeakKeyDictionary())
+
+
+def _module_code(module: ir.Module) -> _ModuleCode:
+    return _DECODED.setdefault(module, _ModuleCode())

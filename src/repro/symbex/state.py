@@ -35,8 +35,8 @@ AddrKey = tuple[int, int]  # (object id, concrete offset): identity of a sync ob
 class Frame:
     """One activation record: function position + virtual registers.
 
-    ``code`` caches the executor's decoded form of the current block (see
-    :meth:`repro.symbex.executor.Executor.step`); it is ``None`` until the
+    ``code`` caches the module's decoded form of the current block (see
+    :meth:`repro.symbex.executor.Executor.run`); it is ``None`` until an
     executor first runs the frame, and travels with the frame's position.
     ``holders`` counts the threads whose stacks contain this frame.
     ``key`` caches :meth:`state_key` (see :meth:`ThreadState.key_parts`

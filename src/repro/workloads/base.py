@@ -15,6 +15,7 @@ from typing import Callable, Optional
 from .. import ir
 from ..baselines import Directive, ForcedSchedulePolicy
 from ..coredump import BugReport, Coredump, coredump_from_state, corrupt_stack
+from ..gcpause import gc_paused
 from ..lang import compile_source
 from ..symbex import BugKind, ConcreteEnv, ExecConfig, Executor, RecordedInputs
 
@@ -63,7 +64,8 @@ class Workload:
             policy=policy,
             config=ExecConfig(),
         )
-        state = executor.run_to_completion(executor.initial_state())
+        with gc_paused():
+            state = executor.run_to_completion(executor.initial_state())
         if state.status != "bug" or state.bug is None:
             raise RuntimeError(
                 f"workload {self.name}: trigger did not manifest the bug "

@@ -3,8 +3,10 @@ graceful shutdown with resumable checkpoints, and the acceptance
 invariants (artifact byte-identity with the inline session; one static
 pass for N concurrent jobs on one module)."""
 
+import gc
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -303,6 +305,28 @@ class TestProgramSharing:
             assert session.program is program
         finally:
             service.shutdown(graceful=False, timeout=10.0)
+
+
+    def test_a_dropped_session_is_freed_without_the_collector(self):
+        """A session, its private service, the program context and its
+        static caches hold no reference cycle: with the collector off, a
+        dropped session is freed by reference counting alone."""
+        workload = get("tac")
+        report = workload.make_report()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            session = ReproSession(workload.compile(), workers=1)
+            assert session.synthesize(report).found
+            session.close()
+            refs = [weakref.ref(obj) for obj in (
+                session, session.service, session.program,
+                session.statics.distances())]
+            del session
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestReviewRegressions:
