@@ -26,14 +26,18 @@ feasible" (search keeps going, never drops paths).
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from . import intervals as iv
 from .cache import SAT_SUBSET, UNKNOWN_HIT, UNSAT_SUPERSET, CounterexampleCache
 from .expr import Atom, BinExpr, Expr, UnExpr, Var, evaluate, struct_key
 from .intervals import Interval, IntervalEvaluator
 from .solver_types import Result, Solution
+
+if TYPE_CHECKING:
+    from ..symbex.state import PathCondition
 
 
 class _Conflict(Exception):
@@ -135,7 +139,10 @@ class Solver:
 
     # -- public API -----------------------------------------------------------
 
-    def check(self, constraints: Iterable[Atom]) -> Solution:
+    def check(
+        self, constraints: Iterable[Atom],
+        path: Optional["PathCondition"] = None,
+    ) -> Solution:
         """Decide satisfiability of the conjunction of ``constraints``.
 
         Constraints are first partitioned into *independent* groups (connected
@@ -144,11 +151,17 @@ class Solver:
         separately.  Long path conditions over many unrelated inputs then
         cost one small solve for the component the newest constraint touches,
         with everything else answered from cache.
+
+        With ``path``, ``constraints`` is already one component: the path's
+        constraints over the variables of its last element, closed over
+        shared variables, then that last element (a branch probe).  A cache
+        miss then starts from the fixpoint stored in ``path.var_index``
+        instead of the declared ranges (:meth:`_path_root`).
         """
         tracer = self.tracer
         if (tracer is not None and tracer.enabled) or self.latency is not None:
             start = time.perf_counter()
-            solution = self._check_impl(constraints)
+            solution = self._check_impl(constraints, path)
             end = time.perf_counter()
             if self.latency is not None:
                 self.latency.observe(end - start)
@@ -160,9 +173,11 @@ class Solver:
                 tracer.record("solver.check", "solver-query", start, end,
                               {"result": solution.result.value})
             return solution
-        return self._check_impl(constraints)
+        return self._check_impl(constraints, path)
 
-    def _check_impl(self, constraints: Iterable[Atom]) -> Solution:
+    def _check_impl(
+        self, constraints: Iterable[Atom], path: Optional["PathCondition"],
+    ) -> Solution:
         self.stats.queries += 1
         exprs: list[Expr] = []
         for atom in constraints:
@@ -176,8 +191,9 @@ class Solver:
 
         merged_model: dict[str, int] = {}
         worst = Result.SAT
-        for component in _independent_components(exprs):
-            solution = self._check_component(component)
+        components = [exprs] if path is not None else _independent_components(exprs)
+        for component in components:
+            solution = self._check_component(component, path)
             if solution.result is Result.UNSAT:
                 self.stats.unsat += 1
                 return Solution(Result.UNSAT)
@@ -190,7 +206,9 @@ class Solver:
         self.stats.unknown += 1
         return Solution(Result.UNKNOWN)
 
-    def _check_component(self, exprs: list[Expr]) -> Solution:
+    def _check_component(
+        self, exprs: list[Expr], path: Optional["PathCondition"],
+    ) -> Solution:
         if self.structural_keys:
             key = frozenset(struct_key(e) for e in exprs)
         else:
@@ -217,7 +235,7 @@ class Solver:
                 self.cache.record_hit(kind)
                 self._count_hit(kind)
                 return cached
-        solution = self._solve(exprs)
+        solution = self._solve(exprs, path)
         if solution.result is Result.UNKNOWN:
             self.cache.insert_unknown(key, self.max_nodes)
         else:
@@ -244,14 +262,12 @@ class Solver:
 
     # -- core ---------------------------------------------------------------
 
-    def _solve(self, exprs: list[Expr]) -> Solution:
-        domains: dict[str, Interval] = {}
-        for expr in exprs:
-            for var in expr.variables():
-                domains.setdefault(var.name, Interval(var.lo, var.hi))
+    def _solve(
+        self, exprs: list[Expr], path: Optional["PathCondition"] = None,
+    ) -> Solution:
         ctx = _SearchCtx(budget=self.max_nodes)
         try:
-            model = self._search(exprs, domains, ctx)
+            model = self._search(exprs, None, ctx, path)
         except _BudgetExhausted:
             return Solution(Result.UNKNOWN)
         if model is None:
@@ -259,14 +275,19 @@ class Solver:
         return Solution(Result.SAT, model)
 
     def _search(
-        self, exprs: list[Expr], domains: dict[str, Interval], ctx: _SearchCtx
+        self, exprs: list[Expr], domains: Optional[dict[str, Interval]],
+        ctx: _SearchCtx, path: Optional["PathCondition"] = None,
     ) -> Optional[dict[str, int]]:
+        """Search below ``domains``; ``None`` stands for the root."""
         ctx.budget -= 1
         self.stats.search_nodes += 1
         if ctx.budget <= 0:
             raise _BudgetExhausted
         try:
-            domains = self._propagate(exprs, domains, ctx)
+            if domains is None:
+                domains = self._root(exprs, ctx, path)
+            else:
+                domains = self._propagate(exprs, domains, ctx)
         except _Conflict:
             return None
 
@@ -330,6 +351,104 @@ class Solver:
             return False
 
     # -- propagation ------------------------------------------------------------
+
+    def _root(
+        self, exprs: list[Expr], ctx: _SearchCtx,
+        path: Optional["PathCondition"],
+    ) -> dict[str, Interval]:
+        """The search root: ``exprs`` propagated from the declared ranges,
+        or from ``path``'s stored fixpoint when one converges in bound."""
+        declared: dict[str, Interval] = {}
+        for expr in exprs:
+            for var in expr.variables():
+                declared.setdefault(var.name, Interval(var.lo, var.hi))
+        if path is not None:
+            root = self._path_root(exprs, declared, path, ctx)
+            if root is not None:
+                return root
+        return self._propagate(exprs, declared, ctx)
+
+    def _path_root(
+        self, exprs: list[Expr], declared: dict[str, Interval],
+        path: "PathCondition", ctx: _SearchCtx,
+    ) -> Optional[dict[str, Interval]]:
+        """The fixpoint of ``exprs`` reached from ``path``'s stored one.
+
+        First the path constraints over these variables that are not folded
+        in yet are propagated into the stored intervals, which are updated;
+        then the probe, ``exprs[-1]``, is propagated on a copy.  Both run to
+        a fixpoint of the same monotone narrowing operators ``_propagate``
+        applies, so the root equals the one ``_propagate`` reaches from the
+        declared ranges, and the search below it is the same.  ``None``
+        when a worklist does not settle within ``_propagate``'s bound of 20
+        rounds; the caller then starts from the declared ranges.
+        """
+        var_index = path.var_index
+        domains: dict[str, Interval] = {}
+        pending: list[Expr] = []
+        queued: set[int] = set()
+        for name, declared_iv in declared.items():
+            entry = var_index.get(name)
+            if entry is None:  # only the probe mentions it
+                domains[name] = declared_iv
+                continue
+            constraints, interval, folded = entry
+            domains[name] = declared_iv if interval is None else interval
+            for constraint in constraints[folded:]:
+                if constraint.uid not in queued:
+                    queued.add(constraint.uid)
+                    pending.append(constraint)
+        limit = 20 * len(exprs)
+        if pending:
+            if not self._settle(pending, None, var_index, domains, limit, ctx):
+                return None
+            for name, interval in domains.items():
+                entry = var_index.get(name)
+                if entry is not None:  # every constraint over it is in now
+                    var_index[name] = (entry[0], interval, len(entry[0]))
+        probe = exprs[-1]
+        root = dict(domains)
+        if not self._settle([probe], probe, var_index, root, limit, ctx):
+            return None
+        return root
+
+    def _settle(
+        self, seed: list[Expr], probe: Optional[Expr], var_index: dict,
+        domains: dict[str, Interval], limit: int, ctx: _SearchCtx,
+    ) -> bool:
+        """Propagate ``seed`` into ``domains`` (AC-3 style): a constraint
+        that narrows a domain queues again every constraint sharing one of
+        its variables, the ``probe`` among them.  False after ``limit``
+        steps without a fixpoint; raises :class:`_Conflict` on an empty
+        domain."""
+        queue = deque(seed)
+        queued = {expr.uid for expr in seed}
+        probe_names = ({v.name for v in probe.variables()}
+                       if probe is not None else ())
+        while queue:
+            limit -= 1
+            if limit < 0:
+                return False
+            expr = queue.popleft()
+            queued.discard(expr.uid)
+            evaluator = IntervalEvaluator(domains)
+            result = evaluator.eval(expr)
+            if result.singleton and result.lo == 0:
+                raise _Conflict
+            ctx.changed = False
+            self._narrow_truthy(expr, domains, evaluator, ctx)
+            if not ctx.changed:
+                continue
+            for var in expr.variables():
+                entry = var_index.get(var.name)
+                neighbours = entry[0] if entry is not None else ()
+                if var.name in probe_names:
+                    neighbours += (probe,)
+                for other in neighbours:
+                    if other.uid not in queued:
+                        queued.add(other.uid)
+                        queue.append(other)
+        return True
 
     def _propagate(
         self, exprs: list[Expr], domains: dict[str, Interval], ctx: _SearchCtx

@@ -455,7 +455,8 @@ class Executor:
         sibling may carry a model that predates its branch constraint), the
         query is SAT by witness and no solve runs.  Most branch-feasibility
         queries take this path: one concrete evaluation instead of an
-        interval search.
+        interval search.  Otherwise the solver gets the path too, so a
+        cache miss starts from the interval fixpoint the path stores.
         """
         if isinstance(extra, int):
             return extra != 0
@@ -469,7 +470,7 @@ class Executor:
                 self.solver.stats.fastpath_hits += 1
                 return True
             self.solver.stats.fastpath_misses += 1
-        solution = self.solver.check(related + [extra])
+        solution = self.solver.check(related + [extra], state.path)
         if solution.is_sat:
             merged = dict(model) if model else {}
             merged.update(solution.model)

@@ -26,10 +26,13 @@ from typing import Any, Iterable, Optional
 
 from ..ir import InstrRef
 from ..solver.expr import Atom, Expr, Var
+from ..solver.intervals import Interval
 from .bugs import BugInfo
 from .memory import AddressSpace, CellValue, MemObject, Pointer, StateKey
 
 AddrKey = tuple[int, int]  # (object id, concrete offset): identity of a sync object
+# PathCondition.var_index entry: (constraints, interval, folded).
+VarEntry = tuple[tuple[Expr, ...], Optional[Interval], int]
 
 
 class Frame:
@@ -307,19 +310,23 @@ class PathCondition:
     """A state's path constraints, in the order added, with their lookup
     structures; shared between forks.
 
-    ``uids`` deduplicates constraints.  ``var_index`` maps a variable name
-    to the constraints mentioning it (Klee's independent-constraint
-    optimization at the state level); its values are tuples, so a shallow
-    copy of the map is a full copy.  ``holders`` counts the states sharing
-    this path condition; ``key`` caches :meth:`state_key`.
+    ``var_index`` maps a variable name to a :data:`VarEntry`: the
+    constraints mentioning it (Klee's independent-constraint optimization
+    at the state level), and the interval the first ``folded`` of them
+    narrow it to, ``None`` until the solver first folds them in (see
+    :meth:`repro.solver.Solver.check`).  The interval is a cache, never
+    part of the key.  Entries are tuples, so a shallow copy of the map is
+    a full copy.  Every expression has a variable, so the entry of any one
+    of its variables tells whether a constraint is on the path already.
+    ``holders`` counts the states sharing this path condition; ``key``
+    caches :meth:`state_key`.
     """
 
-    __slots__ = ("constraints", "uids", "var_index", "holders", "key")
+    __slots__ = ("constraints", "var_index", "holders", "key")
 
     def __init__(self) -> None:
         self.constraints: list[Expr] = []
-        self.uids: set[int] = set()
-        self.var_index: dict[str, tuple[Expr, ...]] = {}
+        self.var_index: dict[str, VarEntry] = {}
         self.holders = 1
         self.key: Optional[StateKey] = None
 
@@ -332,7 +339,6 @@ class PathCondition:
     def copy(self) -> "PathCondition":
         copy = PathCondition.__new__(PathCondition)
         copy.constraints = list(self.constraints)
-        copy.uids = set(self.uids)
         copy.var_index = dict(self.var_index)
         copy.holders = 1
         copy.key = None
@@ -574,17 +580,23 @@ class ExecutionState:
         if not isinstance(constraint, Expr):
             return
         path = self.path
-        if constraint.uid in path.uids:
+        entry = path.var_index.get(next(iter(constraint.variables())).name)
+        if entry is not None and constraint in entry[0]:
             return
         if path.holders > 1:
             path.holders -= 1
             path = self.path = path.copy()
         path.key = None
-        path.uids.add(constraint.uid)
         path.constraints.append(constraint)
         var_index = path.var_index
         for var in constraint.variables():
-            var_index[var.name] = var_index.get(var.name, ()) + (constraint,)
+            entry = var_index.get(var.name)
+            if entry is None:
+                var_index[var.name] = ((constraint,), None, 0)
+            else:
+                constraints, interval, folded = entry
+                var_index[var.name] = (constraints + (constraint,), interval,
+                                       folded)
 
     def related_constraints(self, atom: Atom) -> list[Expr]:
         """The constraints transitively connected to ``atom`` through shared
@@ -602,7 +614,10 @@ class ExecutionState:
             if name in seen_vars:
                 continue
             seen_vars.add(name)
-            for constraint in var_index.get(name, ()):
+            entry = var_index.get(name)
+            if entry is None:
+                continue
+            for constraint in entry[0]:
                 if constraint.uid in seen_constraints:
                     continue
                 seen_constraints.add(constraint.uid)
@@ -666,5 +681,5 @@ KEY_IGNORED: dict[type, frozenset[str]] = {
     MemObject: frozenset({"holders", "key"}),
     MutexRec: frozenset(),
     EnvState: frozenset({"holders"}),
-    PathCondition: frozenset({"uids", "var_index", "holders", "key"}),
+    PathCondition: frozenset({"var_index", "holders", "key"}),
 }
