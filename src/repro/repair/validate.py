@@ -4,8 +4,9 @@ Section 8: "if ESD can no longer synthesize an execution that triggers the
 bug, then the patch can be considered successful."  A validated patch must
 
 1. defeat re-synthesis: running ESD with the *original* bug report against
-   the patched module finds no execution (the goal is unreachable, or gone
-   from the program entirely);
+   the patched module explores every state and finds no execution (the
+   goal is unreachable), or the goal is gone from the program entirely; a
+   search that ends on its budget validates nothing;
 2. not reproduce the bug concretely: the failing execution's recorded inputs
    no longer manifest the reported bug kind;
 3. preserve every passing execution: replaying each passing execution's
@@ -152,9 +153,12 @@ def validate_patch(
         result.resynthesis_found = False
         result.resynthesis_reason = f"goal-unmappable: {exc}"
 
+    # Only a search that ran out of states proves the bug unreachable; one
+    # that ran out of budget (or was cancelled) proves nothing.
     result.ok = (
         not result.resynthesis_found
-        and result.resynthesis_reason != "cancelled"
+        and (result.resynthesis_reason == "exhausted"
+             or result.resynthesis_reason.startswith("goal-unmappable: "))
         and result.failing_clean
         and result.passing_preserved
     )

@@ -438,6 +438,20 @@ class TestPaperPatchVerification:
         assert accepted.ok
         assert accepted.passing_preserved
 
+    def test_a_search_out_of_budget_validates_nothing(self):
+        # The unpatched ls4 still has its bug; a budget too small to find it
+        # proves nothing about the (absent) patch.
+        workload = get("ls4")
+        module = workload.compile()
+        result = validate_patch(
+            module, module, workload.make_report(), [],
+            config=ESDConfig(budget=SearchBudget(
+                max_instructions=2000, max_states=100, max_seconds=5.0)),
+        )
+        assert not result.resynthesis_found
+        assert result.resynthesis_reason == "budget"
+        assert not result.ok
+
 
 # ---------------------------------------------------------------------------
 # Triage database repair outcomes + the service's repair job kind
