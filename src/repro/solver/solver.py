@@ -5,7 +5,8 @@ expressions required to be *truthy* (non-zero).  The solver:
 
 1. folds away concrete constraints,
 2. narrows variable domains by HC4-style forward/backward interval
-   propagation until a fixpoint,
+   propagation until a fixpoint (a branch probe starts from the fixpoint
+   its path condition stores),
 3. searches: enumerate small domains / bisect large ones, propagating after
    every decision, and
 4. verifies every model by direct evaluation before reporting SAT (so a
