@@ -739,7 +739,8 @@ def _run_bench(args: argparse.Namespace, label: str) -> int:
     if fast_total:
         print(f"{label}: model-reuse fast path: {sstats.fastpath_hits}/"
               f"{fast_total} branch queries "
-              f"({100.0 * sstats.fastpath_hits / fast_total:.1f}% hit)")
+              f"({100.0 * sstats.fastpath_hits / fast_total:.1f}% hit), "
+              f"{sstats.interval_answers} branches decided by interval")
     return finish(0 if ok else 1)
 
 

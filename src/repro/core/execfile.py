@@ -146,9 +146,10 @@ def concretize_inputs(state: ExecutionState, solver: Solver) -> RecordedInputs:
     ... and computes all the inputs required").
 
     Unconstrained input variables default to their domain minimum (0), which
-    for strings means "empty from here on".
+    for strings means "empty from here on".  A component that misses the
+    cache starts from the interval fixpoint the state's path stores.
     """
-    model = solver.model(state.constraints)
+    model = solver.model(state.constraints, state.path)
     if model is None:
         raise ValueError("goal state constraints are unsatisfiable")
 

@@ -91,7 +91,7 @@ def parallel_supported() -> bool:
 _SOLVER_FIELDS = (
     "queries", "cache_hits", "unsat_superset_hits", "sat_subset_hits",
     "unknown_hits", "sat", "unsat", "unknown", "search_nodes",
-    "fastpath_hits", "fastpath_misses",
+    "fastpath_hits", "fastpath_misses", "interval_answers",
 )
 
 

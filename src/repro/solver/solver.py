@@ -86,6 +86,9 @@ class SolverStats:
     # (:mod:`repro.analysis.wp`): the direction may well be feasible, but
     # no execution down it can reach the goal, so its probe is skipped.
     wp_refuted: int = 0
+    # Branches decided by :meth:`Solver.decide` on the interval the path
+    # stores for the condition's variable: neither side is probed.
+    interval_answers: int = 0
 
 
 @dataclass(slots=True)
@@ -142,7 +145,7 @@ class Solver:
 
     def check(
         self, constraints: Iterable[Atom],
-        path: Optional["PathCondition"] = None,
+        path: Optional["PathCondition"] = None, *, split: bool = False,
     ) -> Solution:
         """Decide satisfiability of the conjunction of ``constraints``.
 
@@ -157,12 +160,14 @@ class Solver:
         constraints over the variables of its last element, closed over
         shared variables, then that last element (a branch probe).  A cache
         miss then starts from the fixpoint stored in ``path.var_index``
-        instead of the declared ranges (:meth:`_path_root`).
+        instead of the declared ranges (:meth:`_path_root`).  ``split``
+        partitions path constraints given with their ``path`` as above,
+        and each component that misses starts from the stored fixpoint.
         """
         tracer = self.tracer
         if (tracer is not None and tracer.enabled) or self.latency is not None:
             start = time.perf_counter()
-            solution = self._check_impl(constraints, path)
+            solution = self._check_impl(constraints, path, split)
             end = time.perf_counter()
             if self.latency is not None:
                 self.latency.observe(end - start)
@@ -174,10 +179,11 @@ class Solver:
                 tracer.record("solver.check", "solver-query", start, end,
                               {"result": solution.result.value})
             return solution
-        return self._check_impl(constraints, path)
+        return self._check_impl(constraints, path, split)
 
     def _check_impl(
         self, constraints: Iterable[Atom], path: Optional["PathCondition"],
+        split: bool,
     ) -> Solution:
         self.stats.queries += 1
         exprs: list[Expr] = []
@@ -192,7 +198,10 @@ class Solver:
 
         merged_model: dict[str, int] = {}
         worst = Result.SAT
-        components = [exprs] if path is not None else _independent_components(exprs)
+        if path is None or split:
+            components = _independent_components(exprs)
+        else:
+            components = [exprs]
         for component in components:
             solution = self._check_component(component, path)
             if solution.result is Result.UNSAT:
@@ -257,9 +266,72 @@ class Solver:
         path search: we never drop a path we cannot refute)."""
         return self.check(constraints).maybe_sat
 
-    def model(self, constraints: Iterable[Atom]) -> Optional[dict[str, int]]:
-        solution = self.check(constraints)
+    def model(
+        self, constraints: Iterable[Atom],
+        path: Optional["PathCondition"] = None,
+    ) -> Optional[dict[str, int]]:
+        """A model of ``constraints``; pass their ``path`` to start each
+        component's solve from its stored fixpoint."""
+        solution = self.check(constraints, path, split=True)
         return dict(solution.model) if solution.is_sat else None
+
+    def decide(self, cond: Expr, path: "PathCondition") -> Optional[bool]:
+        """Does ``path`` imply ``cond`` (True) or its negation (False)?
+
+        Judged on the interval ``path.var_index`` stores for ``cond``'s
+        one variable, after folding in the constraints over that variable
+        added since.  That is the root :meth:`_path_root` would build, so
+        a decision is exactly a probe of the other side that the solver
+        refutes at its first step, forward evaluation on that root.
+        ``None`` unless ``cond`` has one variable and a miss has folded
+        it before, or when the fold needs other variables, or when the
+        interval leaves ``cond`` open.
+        """
+        names = cond.variables()
+        if len(names) != 1:
+            return None
+        (var,) = names
+        name = var.name
+        entry = path.var_index.get(name)
+        if entry is None or entry[1] is None:
+            return None
+        constraints, interval, folded = entry
+        if folded < len(constraints):
+            interval = self._fold_alone(name, entry, path.var_index)
+            if interval is None:
+                return None
+        result = IntervalEvaluator({name: interval}).eval(cond)
+        if result.lo > 0 or result.hi < 0:
+            return True
+        if result.singleton and result.lo == 0:
+            return False
+        return None
+
+    def _fold_alone(
+        self, name: str, entry: tuple, var_index: dict,
+    ) -> Optional[Interval]:
+        """Fold ``name``'s pending constraints into its stored interval, and
+        store the result, when that fold involves no other variable:
+        ``None`` when it would (or does not settle, or conflicts)."""
+        constraints, interval, folded = entry
+        pending = constraints[folded:]
+        if any(len(c.variables()) != 1 for c in pending):
+            return None
+        domains = {name: interval}
+        try:
+            if not self._settle(list(pending), None, var_index, domains,
+                                20 * (len(constraints) + 1), _SearchCtx(0)):
+                return None
+        except _Conflict:
+            return None
+        narrowed = domains[name]
+        # A narrowing re-queued every constraint over ``name``; one over
+        # another variable would have read that variable's declared range.
+        if narrowed != interval and any(
+                len(c.variables()) != 1 for c in constraints[:folded]):
+            return None
+        var_index[name] = (constraints, narrowed, len(constraints))
+        return narrowed
 
     # -- core ---------------------------------------------------------------
 

@@ -1122,12 +1122,23 @@ class Executor:
         # ``cond`` never satisfies ``!cond``), and each surviving branch
         # must keep the model matching the constraint it adds.
         then_target, else_target = entry[3], entry[4]
-        related = state.related_constraints(cond)
+        false_cond = negate(cond)
         orig_model = state.last_model
+        # A branch the path's stored interval decides, with a witness on
+        # the decided side, is answered before any probe: the witness's
+        # side would hit the fast path, the other side be refuted.
+        if orig_model is not None and self.config.model_reuse:
+            decision = self.solver.decide(cond, state.path)
+            side = cond if decision else false_cond
+            if decision is not None and holds_under([side], orig_model):
+                self.solver.stats.interval_answers += 1
+                state.add_constraint(side)
+                self._jump(frame, then_target if decision else else_target)
+                return [state]
+        related = state.related_constraints(cond)
         true_feasible = self._feasible(state, cond, related)
         true_model = state.last_model
         state.last_model = orig_model
-        false_cond = negate(cond)
         false_feasible = self._feasible(state, false_cond, related)
         if true_feasible and false_feasible:
             other = state.fork()  # inherits the false-direction model

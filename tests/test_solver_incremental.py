@@ -15,7 +15,11 @@ import random
 import pytest
 
 from repro.distrib.snapshot import restore_states, snapshot_states
-from repro.solver import Result, Solver, binop, make_var, negate
+from repro.lang import compile_source
+from repro.solver import (
+    Result, Solver, binop, evaluate, holds_under, make_var, negate,
+)
+from repro.symbex import Executor
 from repro.symbex.state import ExecutionState
 
 I32_MIN, I32_MAX = -(2**31), 2**31 - 1
@@ -166,3 +170,157 @@ def test_a_restored_state_gives_the_same_answers(seed):
     for name, (_, interval, folded) in restored.path.var_index.items():
         if interval is not None:
             assert state.path.var_index[name][1:] == (interval, folded)
+
+
+# -- branches decided on the stored interval (Solver.decide) ------------------
+
+COMPARISONS = ["<", "<=", ">", ">=", "==", "!="]
+
+
+def _single_variable_condition(rng: random.Random, var):
+    """A branch over ``var`` alone: a comparison with a corner or random
+    constant, ``var + c == d``, a hole at an endpoint, or a negation."""
+    roll = rng.randrange(5)
+    constant = _constant(rng, var.lo, var.hi)
+    if roll == 0:
+        return binop(rng.choice(COMPARISONS), var, constant)
+    if roll == 1:
+        shifted = binop("+", var, rng.choice([1, 7, -3, 1 << 20, I32_MAX]))
+        return binop("==", shifted, rng.choice([constant, I32_MAX, I32_MIN]))
+    if roll == 2:
+        hole = rng.choice([var.lo, var.hi, var.lo + 1, var.hi - 1])
+        return binop("!=", var, hole)
+    if roll == 3:
+        return negate(binop(rng.choice(COMPARISONS), var, constant))
+    return binop(rng.choice(COMPARISONS), var, rng.choice([I32_MIN, I32_MAX, 0]))
+
+
+def _decide_and_probe(rng: random.Random, state: ExecutionState, var):
+    """Decide one generated branch, probe both of its sides through
+    ``Solver.check(related + [probe], path)``, and follow a feasible side.
+    Returns ``(decision, same-side answer, opposite answer, witness
+    takes the decided side)`` for a decided branch, else ``None``."""
+    condition = _single_variable_condition(rng, var)
+    if isinstance(condition, int):
+        return None
+    decision = Solver().decide(condition, state.path)
+    sides = [condition, negate(condition)]
+    related = state.related_constraints(condition)
+    answers = [Solver(max_nodes=MAX_NODES).check(related + [side], state.path)
+               for side in sides]
+    witness = state.last_model
+    feasible = [(side, answer) for side, answer in zip(sides, answers)
+                if answer.maybe_sat]
+    if feasible:
+        side, answer = rng.choice(feasible)
+        state.add_constraint(side)
+        if answer.is_sat:
+            state.last_model = dict(answer.model)
+    if decision is None:
+        return None
+    same, opposite = answers if decision else answers[::-1]
+    taken = sides[0] if decision else sides[1]
+    on_side = witness is not None and holds_under([taken], witness)
+    return decision, same, opposite, on_side
+
+
+def test_decisions_match_both_probes_on_the_path_route():
+    decided = with_witness = 0
+    for seed in range(120):
+        rng = random.Random(5000 + seed)
+        var = make_var(f"d{seed}", *rng.choice(DOMAINS))
+        states = [ExecutionState()]
+        for _ in range(3 * STEPS):
+            state = rng.choice(states)
+            if rng.random() < 0.2:
+                states.append(state.fork())  # both sides share one path
+            outcome = _decide_and_probe(rng, state, var)
+            if outcome is None:
+                continue
+            decision, same, opposite, on_side = outcome
+            decided += 1
+            # The solver refutes the other side at its first step.
+            assert opposite.result is Result.UNSAT, (seed, decision)
+            # With a witness on the decided side (the executor's guard),
+            # that side is satisfiable too.
+            if on_side:
+                with_witness += 1
+                assert same.is_sat, (seed, decision)
+    assert with_witness > 100 and decided >= with_witness
+
+
+def test_decide_needs_a_folded_interval_over_one_variable():
+    x = make_var("dec_x", 0, 255)
+    y = make_var("dec_y", 0, 255)
+    state = ExecutionState()
+    state.add_constraint(binop(">", x, 10))
+    solver = Solver()
+    assert solver.decide(binop(">", x, 5), state.path) is None  # not folded
+    assert _probe(state, binop("<", x, 100)).is_sat  # a miss folds x > 10
+    assert solver.decide(binop(">", x, 5), state.path) is True
+    assert solver.decide(binop("<", x, 11), state.path) is False
+    assert solver.decide(binop("==", x, 50), state.path) is None
+    assert solver.decide(binop("<", binop("+", x, y), 5), state.path) is None
+    # A pending constraint over x alone is folded in and stored.
+    state.add_constraint(binop("!=", x, 11))
+    assert solver.decide(binop(">", x, 11), state.path) is True
+    _, interval, folded = state.path.var_index["dec_x"]
+    assert (interval.lo, interval.hi, folded) == (12, 255, 2)
+    # One that also mentions y is left to the probe's fold.
+    state.add_constraint(binop("<", x, y))
+    assert solver.decide(binop(">", x, 11), state.path) is None
+    assert state.path.var_index["dec_x"][2] == 2
+
+
+def test_wrapping_probe_gets_the_same_answer_on_both_routes():
+    # Under wrap32, y = 2**30 makes y*2 negative, yet the solver's
+    # saturating intervals refute ``y*2 < 0``.  Both routes share that
+    # arithmetic, so a wrap-sound fix moves them together.
+    y = make_var("wrap_y", 0, I32_MAX)
+    probe = binop("<", binop("*", y, 2), 0)
+    assert evaluate(probe, {"wrap_y": 2**30}) == 1
+    state = ExecutionState()
+    state.add_constraint(binop(">=", y, 0))
+    assert _probe(state, binop("!=", y, 5)).is_sat  # folds y >= 0
+    related = state.related_constraints(probe)
+    assert Solver().check(related + [probe], state.path).result is Result.UNSAT
+    assert Solver().check(related + [probe]).result is Result.UNSAT
+    assert Solver().decide(probe, state.path) is False
+
+
+def _final_states(executor):
+    pending, done = [executor.initial_state()], []
+    while pending:
+        for succ in executor.step(pending.pop()):
+            (done if succ.terminated else pending).append(succ)
+    return done
+
+
+def test_a_decided_branch_leaves_the_state_the_probes_leave():
+    source = """
+    int main() {
+        int c = getchar();
+        if (c > 100) {
+            if (c > 50) {
+                if (c < 20) { print_int(1); }
+                if (c != 99) { print_int(2); }
+            }
+        } else {
+            if (c >= 40) { print_int(3); }
+            if (c > 100) { print_int(4); }
+        }
+        return 0;
+    }
+    """
+    module = compile_source(source, "decide")
+    decided = Executor(module)
+    probed = Executor(module)
+    probed.solver.decide = lambda cond, path: None
+    got, want = _final_states(decided), _final_states(probed)
+    assert decided.solver.stats.interval_answers > 0
+    assert probed.solver.stats.interval_answers == 0
+    assert [(s.status, s.output, [repr(c) for c in s.constraints], s.last_model)
+            for s in got] == [
+        (s.status, s.output, [repr(c) for c in s.constraints], s.last_model)
+        for s in want]
+    assert decided.solver.stats.queries < probed.solver.stats.queries
