@@ -146,8 +146,7 @@ def concretize_inputs(state: ExecutionState, solver: Solver) -> RecordedInputs:
     ... and computes all the inputs required").
 
     Unconstrained input variables default to their domain minimum (0), which
-    for strings means "empty from here on".  A component that misses the
-    cache starts from the interval fixpoint the state's path stores.
+    for strings means "empty from here on".
     """
     model = solver.model(state.constraints, state.path)
     if model is None:

@@ -6,7 +6,8 @@ expressions required to be *truthy* (non-zero).  The solver:
 1. folds away concrete constraints,
 2. narrows variable domains by HC4-style forward/backward interval
    propagation until a fixpoint (a branch probe starts from the fixpoint
-   its path condition stores),
+   its path condition stores, and a branch that fixpoint decides needs
+   no probe: :meth:`Solver.decide`),
 3. searches: enumerate small domains / bisect large ones, propagating after
    every decision, and
 4. verifies every model by direct evaluation before reporting SAT (so a
@@ -161,8 +162,7 @@ class Solver:
         shared variables, then that last element (a branch probe).  A cache
         miss then starts from the fixpoint stored in ``path.var_index``
         instead of the declared ranges (:meth:`_path_root`).  ``split``
-        partitions path constraints given with their ``path`` as above,
-        and each component that misses starts from the stored fixpoint.
+        partitions the path's own constraints as without a path.
         """
         tracer = self.tracer
         if (tracer is not None and tracer.enabled) or self.latency is not None:
@@ -182,8 +182,7 @@ class Solver:
         return self._check_impl(constraints, path, split)
 
     def _check_impl(
-        self, constraints: Iterable[Atom], path: Optional["PathCondition"],
-        split: bool,
+        self, constraints: Iterable[Atom], path: Optional["PathCondition"], split: bool,
     ) -> Solution:
         self.stats.queries += 1
         exprs: list[Expr] = []
@@ -198,10 +197,8 @@ class Solver:
 
         merged_model: dict[str, int] = {}
         worst = Result.SAT
-        if path is None or split:
-            components = _independent_components(exprs)
-        else:
-            components = [exprs]
+        components = ([exprs] if path is not None and not split
+                      else _independent_components(exprs))
         for component in components:
             solution = self._check_component(component, path)
             if solution.result is Result.UNSAT:
@@ -266,72 +263,50 @@ class Solver:
         path search: we never drop a path we cannot refute)."""
         return self.check(constraints).maybe_sat
 
-    def model(
-        self, constraints: Iterable[Atom],
-        path: Optional["PathCondition"] = None,
-    ) -> Optional[dict[str, int]]:
-        """A model of ``constraints``; pass their ``path`` to start each
-        component's solve from its stored fixpoint."""
+    def model(self, constraints: Iterable[Atom],
+              path: Optional["PathCondition"] = None) -> Optional[dict[str, int]]:
+        """A model; with the constraints' ``path``, a miss starts from its fixpoint."""
         solution = self.check(constraints, path, split=True)
         return dict(solution.model) if solution.is_sat else None
 
     def decide(self, cond: Expr, path: "PathCondition") -> Optional[bool]:
         """Does ``path`` imply ``cond`` (True) or its negation (False)?
 
-        Judged on the interval ``path.var_index`` stores for ``cond``'s
-        one variable, after folding in the constraints over that variable
-        added since.  That is the root :meth:`_path_root` would build, so
-        a decision is exactly a probe of the other side that the solver
-        refutes at its first step, forward evaluation on that root.
-        ``None`` unless ``cond`` has one variable and a miss has folded
-        it before, or when the fold needs other variables, or when the
-        interval leaves ``cond`` open.
+        Judged on the interval ``path.var_index`` stores for ``cond``'s one
+        variable, with the constraints over it added since folded in: the
+        root :meth:`_path_root` builds, on which the solver's first step,
+        forward evaluation, refutes the other side.  ``None`` if no miss
+        has folded the variable, or the fold needs another one.
         """
         names = cond.variables()
         if len(names) != 1:
             return None
         (var,) = names
-        name = var.name
-        entry = path.var_index.get(name)
+        entry = path.var_index.get(var.name)
         if entry is None or entry[1] is None:
             return None
         constraints, interval, folded = entry
+        domains = {var.name: interval}
         if folded < len(constraints):
-            interval = self._fold_alone(name, entry, path.var_index)
-            if interval is None:
+            pending = constraints[folded:]
+            if any(len(c.variables()) != 1 for c in pending):
                 return None
-        result = IntervalEvaluator({name: interval}).eval(cond)
+            try:
+                settled = self._settle(list(pending), None, path.var_index, domains,
+                                       20 * (len(constraints) + 1), _SearchCtx(0))
+            except _Conflict:
+                return None
+            # A narrowing re-queues every constraint over the variable: one
+            # over another variable would read that one's declared range.
+            if not settled or domains[var.name] != interval and any(
+                    len(c.variables()) != 1 for c in constraints[:folded]):
+                return None
+            path.var_index[var.name] = (constraints, domains[var.name],
+                                        len(constraints))
+        result = IntervalEvaluator(domains).eval(cond)
         if result.lo > 0 or result.hi < 0:
             return True
-        if result.singleton and result.lo == 0:
-            return False
-        return None
-
-    def _fold_alone(
-        self, name: str, entry: tuple, var_index: dict,
-    ) -> Optional[Interval]:
-        """Fold ``name``'s pending constraints into its stored interval, and
-        store the result, when that fold involves no other variable:
-        ``None`` when it would (or does not settle, or conflicts)."""
-        constraints, interval, folded = entry
-        pending = constraints[folded:]
-        if any(len(c.variables()) != 1 for c in pending):
-            return None
-        domains = {name: interval}
-        try:
-            if not self._settle(list(pending), None, var_index, domains,
-                                20 * (len(constraints) + 1), _SearchCtx(0)):
-                return None
-        except _Conflict:
-            return None
-        narrowed = domains[name]
-        # A narrowing re-queued every constraint over ``name``; one over
-        # another variable would have read that variable's declared range.
-        if narrowed != interval and any(
-                len(c.variables()) != 1 for c in constraints[:folded]):
-            return None
-        var_index[name] = (constraints, narrowed, len(constraints))
-        return narrowed
+        return False if result == iv.FALSE else None
 
     # -- core ---------------------------------------------------------------
 

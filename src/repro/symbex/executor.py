@@ -1124,9 +1124,8 @@ class Executor:
         then_target, else_target = entry[3], entry[4]
         false_cond = negate(cond)
         orig_model = state.last_model
-        # A branch the path's stored interval decides, with a witness on
-        # the decided side, is answered before any probe: the witness's
-        # side would hit the fast path, the other side be refuted.
+        # A branch the path's interval decides, with the witness on that
+        # side, needs no probe: the fast path and a refutation are known.
         if orig_model is not None and self.config.model_reuse:
             decision = self.solver.decide(cond, state.path)
             side = cond if decision else false_cond
