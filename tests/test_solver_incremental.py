@@ -6,6 +6,8 @@ there.  Its answer and
 model must equal a from-scratch solve of the same component, which starts
 from the declared ranges.  Seeded generators build path-shaped constraint
 sequences, and every branch is probed both ways on both routes.
+``Solver.decide`` answers a one-variable branch on the stored fixpoint
+without a probe; its decisions must match both probes of the path route.
 """
 
 from __future__ import annotations
